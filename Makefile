@@ -49,8 +49,10 @@ check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 # generate/lint benchmarks, the registry allocation guard, the
 # fleet-crawl throughput benchmark, the certificate-index T1–T5
 # query grid (point / prefix / range / ingest / mixed, LSM vs B+tree),
-# and the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
-# Merkle-batched seal) — BENCH_ROUNDS interleaved times — then records
+# the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
+# Merkle-batched seal) and the ctlog proof-path scaling grid
+# (Root / InclusionProof / ConsistencyProof at 2¹⁰, 2¹⁴, 2¹⁷ leaves,
+# amortized Append) — BENCH_ROUNDS interleaved times — then records
 # medians, min/max spread, derived per-cert allocation costs, the obs
 # histogram snapshots, and a delta table against the previous
 # BENCH_*.json in BENCH_7.json.
@@ -63,7 +65,7 @@ bench:
 	    $(GO) test -run '^$$' -bench 'FleetCrawl' -benchtime 5x ./internal/fleet ; \
 	    $(GO) test -run '^$$' -bench 'Index(Point|Prefix|Range|Ingest|Mixed)' \
 		-benchmem ./internal/index ; \
-	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)' \
+	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)|TreeProofs' \
 		-benchmem ./internal/ctlog ; \
 	  done ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_7.json -note "$(BENCH_NOTE)"

@@ -46,10 +46,12 @@ func (l *Log) AddBatchParsed(ders [][]byte, precerts []bool) (*BatchSeal, error)
 		return nil, errors.New("ctlog: precert vector does not match batch")
 	}
 	leaves := make([]Hash, len(ders))
+	var batch CompactTree
 	for i, der := range ders {
 		leaves[i] = LeafHash(der)
+		batch.Append(leaves[i])
 	}
-	root := subtreeRoot(leaves)
+	root := batch.Root()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ts := l.now()
@@ -57,7 +59,7 @@ func (l *Log) AddBatchParsed(ders [][]byte, precerts []bool) (*BatchSeal, error)
 	for i, der := range ders {
 		e := Entry{Index: first + i, Timestamp: ts, DER: append([]byte(nil), der...), Precert: precerts[i]}
 		l.entries = append(l.entries, e)
-		l.tree.Append(leaves[i])
+		l.appendLeafLocked(leaves[i])
 	}
 	seal := &BatchSeal{LogID: l.id, First: first, Count: len(ders), Root: root, Timestamp: ts.UnixMilli()}
 	sig, err := l.key.Sign(sealSignedData(seal))
@@ -91,11 +93,11 @@ func (l *Log) VerifySeal(s *BatchSeal) error {
 	if err != nil {
 		return fmt.Errorf("ctlog: seal range: %w", err)
 	}
-	leaves := make([]Hash, len(entries))
-	for i, e := range entries {
-		leaves[i] = LeafHash(e.DER)
+	var batch CompactTree
+	for _, e := range entries {
+		batch.Append(LeafHash(e.DER))
 	}
-	if subtreeRoot(leaves) != s.Root {
+	if batch.Root() != s.Root {
 		return errors.New("ctlog: seal root does not match sealed entries")
 	}
 	if len(s.Signature) == 0 {

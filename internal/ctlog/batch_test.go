@@ -55,7 +55,7 @@ func TestAddBatchParsedMatchesPerEntry(t *testing.T) {
 	for i, d := range ders {
 		leaves[i] = LeafHash(d)
 	}
-	if seal.Root != subtreeRoot(leaves) {
+	if seal.Root != naiveRoot(leaves) {
 		t.Fatal("seal root is not the batch subtree root")
 	}
 	if err := batched.VerifySeal(seal); err != nil {

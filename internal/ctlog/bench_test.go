@@ -1,6 +1,8 @@
 package ctlog
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -20,6 +22,12 @@ import (
 // All three report certs/s so benchjson derives per-cert costs; the
 // spread between PerEntry and Batched is the price of the per-entry
 // ECDSA operation that batch sealing amortizes away.
+//
+// BenchmarkTreeProofs is the proof-path scaling check, also run by
+// `make bench`: Root, InclusionProof and ConsistencyProof at historical
+// sizes 2¹⁰, 2¹⁴ and 2¹⁷ of one 2¹⁷-leaf tree, plus amortized Append.
+// With the per-level subtree cache, ns/op should stay nearly flat
+// across sizes and each proof costs one allocation (its slice).
 
 const benchCorpusSize = 256
 
@@ -117,4 +125,63 @@ func BenchmarkWriteBatched(b *testing.B) {
 		b.Fatal(err)
 	}
 	reportCertsPerSec(b)
+}
+
+func BenchmarkTreeProofs(b *testing.B) {
+	const maxN = 1 << 17
+	leaf := func(i int) Hash {
+		var buf [8]byte
+		binary.BigEndian.PutUint64(buf[:], uint64(i))
+		return LeafHash(buf[:])
+	}
+	tree := &Tree{}
+	for i := 0; i < maxN; i++ {
+		tree.Append(leaf(i))
+	}
+	var sink []Hash
+	for _, n := range []int{1 << 10, 1 << 14, maxN} {
+		b.Run(fmt.Sprintf("Root/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tree.Root(n - i%2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("InclusionProof/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := tree.InclusionProof(i*7919%n, n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = p
+			}
+		})
+		// Old sizes step through the upper half in 64-leaf batches, as
+		// an auditing crawl's batch-end → STH proofs do.
+		b.Run(fmt.Sprintf("ConsistencyProof/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := tree.ConsistencyProof(n/2+64*(i%(n/128)), n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = p
+			}
+		})
+	}
+	b.Run("Append", func(b *testing.B) {
+		leaves := make([]Hash, 1024)
+		for i := range leaves {
+			leaves[i] = leaf(i)
+		}
+		t := &Tree{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Append(leaves[i%len(leaves)])
+		}
+	})
+	_ = sink
 }

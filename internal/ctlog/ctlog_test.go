@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/raceflag"
 	"repro/internal/x509cert"
 )
 
@@ -110,6 +111,46 @@ func TestInclusionProofProperty(t *testing.T) {
 	}
 }
 
+// TestHashingAllocFree pins the hashing and verification hot paths the
+// audited crawl runs per entry and per proof node at zero allocations.
+func TestHashingAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	der := buildTestCert(t, false)
+	var tree Tree
+	for i := 0; i < 100; i++ {
+		tree.Append(LeafHash([]byte{byte(i)}))
+	}
+	leaf := LeafHash([]byte{37})
+	root, _ := tree.Root(100)
+	incl, _ := tree.InclusionProof(37, 100)
+	oldRoot, _ := tree.Root(64) // a power of two: the old root starts the path
+	cons, _ := tree.ConsistencyProof(64, 100)
+	raggedRoot, _ := tree.Root(50)
+	ragged, _ := tree.ConsistencyProof(50, 100)
+	var sink Hash
+	for name, f := range map[string]func(){
+		"nodeHash": func() { sink = nodeHash(root, leaf) },
+		"LeafHash": func() { sink = LeafHash(der) },
+		"VerifyInclusion": func() {
+			if !VerifyInclusion(leaf, 37, 100, incl, root) {
+				t.Fatal("inclusion proof rejected")
+			}
+		},
+		"VerifyConsistency": func() {
+			if !VerifyConsistency(64, 100, oldRoot, root, cons) || !VerifyConsistency(50, 100, raggedRoot, root, ragged) {
+				t.Fatal("consistency proof rejected")
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+	_ = sink
+}
+
 func buildTestCert(t *testing.T, poison bool) []byte {
 	t.Helper()
 	key, err := x509cert.GenerateKey(77)
@@ -166,6 +207,77 @@ func TestLogAddAndQuery(t *testing.T) {
 	regulars := log.RegularCertificates()
 	if len(regulars) != 1 || regulars[0].Index != 0 {
 		t.Fatalf("regulars %v", regulars)
+	}
+}
+
+// distinctCerts builds n leaf certificates that differ only in serial.
+func distinctCerts(t *testing.T, n int) [][]byte {
+	t.Helper()
+	key, err := x509cert.GenerateKey(78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ders := make([][]byte, n)
+	for i := range ders {
+		tpl := &x509cert.Template{
+			SerialNumber: big.NewInt(int64(100 + i)),
+			Issuer:       x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDCommonName, "Log CA")),
+			Subject:      x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDCommonName, "entry.test")),
+			NotBefore:    time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC),
+			NotAfter:     time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC),
+			SAN:          []x509cert.GeneralName{x509cert.DNSName("entry.test")},
+		}
+		if ders[i], err = x509cert.Build(tpl, key, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ders
+}
+
+// TestProveInclusionByHashFirstIndex pins the lookup semantics the
+// get-proof-by-hash endpoint serves: a DER logged more than once
+// proves at its first index, through both append paths, and a leaf
+// first logged at or beyond the requested size is not found.
+func TestProveInclusionByHashFirstIndex(t *testing.T) {
+	log, err := NewLog(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := distinctCerts(t, 2)
+	a, b := certs[0], certs[1]
+	if _, err := log.AddParsed(a, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AddBatchParsed([][]byte{b, a, b}, []bool{false, false, false}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AddParsed(b, false); err != nil {
+		t.Fatal(err)
+	}
+	sth, err := log.STH()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, der := range [][]byte{a, b} {
+		idx, proof, err := log.ProveInclusionByHash(LeafHash(der), sth.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != want {
+			t.Fatalf("duplicate DER proved at index %d, want its first index %d", idx, want)
+		}
+		if !VerifyInclusion(LeafHash(der), idx, sth.Size, proof, sth.Root) {
+			t.Fatal("first-index proof does not verify")
+		}
+	}
+	if _, _, err := log.ProveInclusionByHash(LeafHash(b), 1); err != ErrLeafNotFound {
+		t.Fatalf("leaf first logged at 1 under size 1: %v, want ErrLeafNotFound", err)
+	}
+	if _, _, err := log.ProveInclusionByHash(Hash{}, sth.Size); err != ErrLeafNotFound {
+		t.Fatalf("absent leaf: %v, want ErrLeafNotFound", err)
+	}
+	if _, _, err := log.ProveInclusionByHash(LeafHash(a), sth.Size+1); err == nil || err == ErrLeafNotFound {
+		t.Fatalf("size beyond the log: %v, want a range error", err)
 	}
 }
 

@@ -43,8 +43,14 @@ type Log struct {
 	key     *x509cert.KeyPair
 	tree    Tree
 	entries []Entry
-	now     func() time.Time
+	// first maps each leaf hash to the lowest index it was logged at.
+	first map[Hash]int
+	now   func() time.Time
 }
+
+// ErrLeafNotFound reports a leaf hash that is not in the tree at the
+// requested size.
+var ErrLeafNotFound = errors.New("ctlog: leaf hash not found")
 
 // NewLog creates a log whose key is derived from seed.
 func NewLog(seed int64) (*Log, error) {
@@ -53,7 +59,7 @@ func NewLog(seed int64) (*Log, error) {
 		return nil, err
 	}
 	id := sha256.Sum256(key.PublicPoint())
-	return &Log{id: id, key: key, now: time.Now}, nil
+	return &Log{id: id, key: key, first: make(map[Hash]int), now: time.Now}, nil
 }
 
 // SetClock overrides the log's time source (for reproducible corpora).
@@ -84,12 +90,21 @@ func (l *Log) addParsed(der []byte, precert bool) (*SCT, error) {
 	ts := l.now()
 	e := Entry{Index: len(l.entries), Timestamp: ts, DER: append([]byte(nil), der...), Precert: precert}
 	l.entries = append(l.entries, e)
-	l.tree.Append(LeafHash(der))
+	l.appendLeafLocked(LeafHash(der))
 	sig, err := l.key.Sign(sctSignedData(l.id, ts, der))
 	if err != nil {
 		return nil, err
 	}
 	return &SCT{LogID: l.id, Timestamp: ts, Signature: sig}, nil
+}
+
+// appendLeafLocked adds a leaf to the tree and the first-index map;
+// l.mu must be held for writing.
+func (l *Log) appendLeafLocked(leaf Hash) {
+	i := l.tree.Append(leaf)
+	if _, ok := l.first[leaf]; !ok {
+		l.first[leaf] = i
+	}
 }
 
 func sctSignedData(id Hash, ts time.Time, der []byte) []byte {
@@ -145,6 +160,20 @@ func (l *Log) ProveInclusion(i int) ([]Hash, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.tree.InclusionProof(i, len(l.entries))
+}
+
+// ProveInclusionByHash returns the lowest index at which leaf was
+// logged and its audit path under tree size size. A leaf first logged
+// at or beyond size is ErrLeafNotFound.
+func (l *Log) ProveInclusionByHash(leaf Hash, size int) (int, []Hash, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	i, ok := l.first[leaf]
+	if !ok || i >= size {
+		return 0, nil, ErrLeafNotFound
+	}
+	proof, err := l.tree.InclusionProof(i, size)
+	return i, proof, err
 }
 
 // ProveConsistency returns the consistency proof between sizes m and n.

@@ -1,17 +1,19 @@
 package ctlog
 
 // Property tests for the proof system the audited crawl trusts. The
-// exhaustive round-trips cover EVERY (index, size) and (old, new) pair
-// up to maxPropertySize, which is only tractable with a memoized
-// prover: the production Tree recomputes subtree roots from leaves on
-// every call (O(n) per proof node), while memoProver caches each
-// [lo,hi) subtree root, making the ~260k proofs below cost one hash
-// per node. The memoized prover is itself anchored against the
-// production prover for the small sizes where the naive cost is fine.
+// production Tree answers every root and proof from its per-level
+// subtree cache in O(log n), so the exhaustive round-trips below prove
+// and verify EVERY (index, size) and (old, new) pair up to
+// maxPropertySize on it directly (~260k proofs). The cache itself is
+// anchored against a naive oracle — the RFC 6962 §2.1 recursions over
+// leaf slices, written out as the spec states them — for every root
+// up to maxPropertySize and every proof small enough to generate
+// naively.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -29,108 +31,98 @@ func propertyLeaves(n int) []Hash {
 	return leaves
 }
 
-// memoProver mirrors the production path/consistency recursions over
-// [lo,hi) windows with memoized subtree roots.
-type memoProver struct {
-	leaves []Hash
-	memo   map[[2]int]Hash
-}
-
-func newMemoProver(leaves []Hash) *memoProver {
-	return &memoProver{leaves: leaves, memo: make(map[[2]int]Hash)}
-}
-
-func (p *memoProver) root(lo, hi int) Hash {
-	if hi == lo {
-		return sha256.Sum256(nil)
-	}
-	if hi-lo == 1 {
-		return p.leaves[lo]
-	}
-	key := [2]int{lo, hi}
-	if h, ok := p.memo[key]; ok {
-		return h
-	}
-	k := largestPowerOfTwoBelow(hi - lo)
-	h := nodeHash(p.root(lo, lo+k), p.root(lo+k, hi))
-	p.memo[key] = h
-	return h
-}
-
-func (p *memoProver) path(i, lo, hi int) []Hash {
-	if hi-lo <= 1 {
-		return nil
-	}
-	k := largestPowerOfTwoBelow(hi - lo)
-	if i < lo+k {
-		return append(p.path(i, lo, lo+k), p.root(lo+k, hi))
-	}
-	return append(p.path(i, lo+k, hi), p.root(lo, lo+k))
-}
-
-func (p *memoProver) consistency(m, lo, hi int, complete bool) []Hash {
-	if m == hi-lo {
-		if complete {
-			return nil
-		}
-		return []Hash{p.root(lo, hi)}
-	}
-	k := largestPowerOfTwoBelow(hi - lo)
-	if m <= k {
-		return append(p.consistency(m, lo, lo+k, complete), p.root(lo+k, hi))
-	}
-	return append(p.consistency(m-k, lo+k, hi, false), p.root(lo, lo+k))
-}
-
-// TestMemoProverMatchesTree anchors the memoized prover against the
-// production Tree: identical roots at every size, identical proofs for
-// every pair small enough to generate naively.
-func TestMemoProverMatchesTree(t *testing.T) {
+// propertyTree returns a Tree over propertyLeaves(maxPropertySize),
+// so every smaller size is a historical prefix of it.
+func propertyTree() ([]Hash, *Tree) {
 	leaves := propertyLeaves(maxPropertySize)
-	p := newMemoProver(leaves)
 	tree := &Tree{}
 	for _, l := range leaves {
 		tree.Append(l)
 	}
+	return leaves, tree
+}
+
+// naiveSplit is RFC 6962's k: the largest power of two smaller than n.
+func naiveSplit(n int) int {
+	k := 1
+	for k*2 < n {
+		k *= 2
+	}
+	return k
+}
+
+// naiveRoot is RFC 6962 MTH over leaves, recomputed from scratch.
+func naiveRoot(leaves []Hash) Hash {
+	switch len(leaves) {
+	case 0:
+		return sha256.Sum256(nil)
+	case 1:
+		return leaves[0]
+	}
+	k := naiveSplit(len(leaves))
+	return nodeHash(naiveRoot(leaves[:k]), naiveRoot(leaves[k:]))
+}
+
+// naivePath is the RFC 6962 §2.1.1 audit path PATH(i, leaves).
+func naivePath(i int, leaves []Hash) []Hash {
+	if len(leaves) <= 1 {
+		return nil
+	}
+	k := naiveSplit(len(leaves))
+	if i < k {
+		return append(naivePath(i, leaves[:k]), naiveRoot(leaves[k:]))
+	}
+	return append(naivePath(i-k, leaves[k:]), naiveRoot(leaves[:k]))
+}
+
+// naiveConsistency is the RFC 6962 §2.1.2 SUBPROOF(m, leaves, complete).
+func naiveConsistency(m int, leaves []Hash, complete bool) []Hash {
+	n := len(leaves)
+	if m == n {
+		if complete {
+			return nil
+		}
+		return []Hash{naiveRoot(leaves)}
+	}
+	k := naiveSplit(n)
+	if m <= k {
+		return append(naiveConsistency(m, leaves[:k], complete), naiveRoot(leaves[k:]))
+	}
+	return append(naiveConsistency(m-k, leaves[k:], false), naiveRoot(leaves[:k]))
+}
+
+// TestTreeMatchesOracle anchors the cached Tree against the naive
+// oracle: identical roots at every historical size, identical proofs
+// for every pair small enough to generate naively.
+func TestTreeMatchesOracle(t *testing.T) {
+	leaves, tree := propertyTree()
 	for n := 0; n <= maxPropertySize; n++ {
-		want, err := tree.Root(n)
+		got, err := tree.Root(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.root(0, n); got != want {
-			t.Fatalf("memo root(%d) diverges from Tree.Root", n)
+		if got != naiveRoot(leaves[:n]) {
+			t.Fatalf("Tree.Root(%d) diverges from the oracle", n)
 		}
 	}
 	const anchorMax = 64
 	for n := 1; n <= anchorMax; n++ {
 		for i := 0; i < n; i++ {
-			want, err := tree.InclusionProof(i, n)
+			got, err := tree.InclusionProof(i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := p.path(i, 0, n)
-			if len(got) != len(want) {
-				t.Fatalf("path(%d,%d): %d nodes, want %d", i, n, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("path(%d,%d) node %d diverges", i, n, j)
-				}
+			if want := naivePath(i, leaves[:n]); !slices.Equal(got, want) {
+				t.Fatalf("InclusionProof(%d,%d) = %d nodes, oracle %d nodes, or a node diverges", i, n, len(got), len(want))
 			}
 		}
 		for m := 1; m <= n; m++ {
-			want, err := tree.ConsistencyProof(m, n)
+			got, err := tree.ConsistencyProof(m, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := p.consistency(m, 0, n, true)
-			if len(got) != len(want) {
-				t.Fatalf("consistency(%d,%d): %d nodes, want %d", m, n, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("consistency(%d,%d) node %d diverges", m, n, j)
-				}
+			if want := naiveConsistency(m, leaves[:n], true); !slices.Equal(got, want) {
+				t.Fatalf("ConsistencyProof(%d,%d) = %d nodes, oracle %d nodes, or a node diverges", m, n, len(got), len(want))
 			}
 		}
 	}
@@ -139,12 +131,15 @@ func TestMemoProverMatchesTree(t *testing.T) {
 // TestInclusionRoundTripExhaustive proves and verifies EVERY leaf
 // under EVERY tree size up to maxPropertySize.
 func TestInclusionRoundTripExhaustive(t *testing.T) {
-	leaves := propertyLeaves(maxPropertySize)
-	p := newMemoProver(leaves)
+	leaves, tree := propertyTree()
 	for n := 1; n <= maxPropertySize; n++ {
-		root := p.root(0, n)
+		root, _ := tree.Root(n)
 		for i := 0; i < n; i++ {
-			if !VerifyInclusion(leaves[i], i, n, p.path(i, 0, n), root) {
+			proof, err := tree.InclusionProof(i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !VerifyInclusion(leaves[i], i, n, proof, root) {
 				t.Fatalf("valid inclusion proof rejected (i=%d, n=%d)", i, n)
 			}
 		}
@@ -154,12 +149,16 @@ func TestInclusionRoundTripExhaustive(t *testing.T) {
 // TestConsistencyRoundTripExhaustive proves and verifies EVERY
 // (old, new) size pair up to maxPropertySize.
 func TestConsistencyRoundTripExhaustive(t *testing.T) {
-	leaves := propertyLeaves(maxPropertySize)
-	p := newMemoProver(leaves)
+	_, tree := propertyTree()
 	for n := 1; n <= maxPropertySize; n++ {
-		newRoot := p.root(0, n)
+		newRoot, _ := tree.Root(n)
 		for m := 1; m <= n; m++ {
-			if !VerifyConsistency(m, n, p.root(0, m), newRoot, p.consistency(m, 0, n, true)) {
+			oldRoot, _ := tree.Root(m)
+			proof, err := tree.ConsistencyProof(m, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !VerifyConsistency(m, n, oldRoot, newRoot, proof) {
 				t.Fatalf("valid consistency proof rejected (m=%d, n=%d)", m, n)
 			}
 		}
@@ -220,12 +219,14 @@ func inclusionFold(i, n, pathLen int) (string, bool) {
 // at a wrong index or wrong tree size, truncating or extending the
 // path, or swapping the leaf must all reject.
 func TestInclusionMutationsRejected(t *testing.T) {
-	leaves := propertyLeaves(maxPropertySize)
-	p := newMemoProver(leaves)
+	leaves, tree := propertyTree()
 	for _, n := range mutationSizes {
-		root := p.root(0, n)
+		root, _ := tree.Root(n)
 		for _, i := range mutationIndices(n) {
-			proof := p.path(i, 0, n)
+			proof, err := tree.InclusionProof(i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for node := range proof {
 				for b := 0; b < len(proof[node]); b++ {
 					mut := append([]Hash(nil), proof...)
@@ -281,16 +282,18 @@ func TestInclusionMutationsRejected(t *testing.T) {
 // battery: byte flips in any node, wrong sizes, wrong roots, and
 // truncated or padded paths must all reject.
 func TestConsistencyMutationsRejected(t *testing.T) {
-	leaves := propertyLeaves(maxPropertySize)
-	p := newMemoProver(leaves)
+	_, tree := propertyTree()
 	for _, n := range mutationSizes {
-		newRoot := p.root(0, n)
+		newRoot, _ := tree.Root(n)
 		for _, m := range mutationIndices(n) {
 			if m == 0 {
 				continue // sizes start at 1
 			}
-			oldRoot := p.root(0, m)
-			proof := p.consistency(m, 0, n, true)
+			oldRoot, _ := tree.Root(m)
+			proof, err := tree.ConsistencyProof(m, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for node := range proof {
 				for b := 0; b < len(proof[node]); b++ {
 					mut := append([]Hash(nil), proof...)
@@ -309,7 +312,8 @@ func TestConsistencyMutationsRejected(t *testing.T) {
 				if wrongM < 1 || wrongM > n || wrongM == m {
 					continue
 				}
-				if VerifyConsistency(wrongM, n, p.root(0, wrongM), newRoot, proof) {
+				wrongRoot, _ := tree.Root(wrongM)
+				if VerifyConsistency(wrongM, n, wrongRoot, newRoot, proof) {
 					t.Fatalf("proof for old size %d accepted at %d (n=%d)", m, wrongM, n)
 				}
 			}

@@ -278,29 +278,20 @@ func (s *Server) getProof(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad hash", http.StatusBadRequest)
 		return
 	}
-	entries, err := s.Log.GetEntries(0, min(size, s.Log.Size()))
+	idx, proof, err := s.Log.ProveInclusionByHash(Hash(want), size)
+	if errors.Is(err, ErrLeafNotFound) {
+		http.Error(w, "hash not found", http.StatusNotFound)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	for _, e := range entries {
-		h := LeafHash(e.DER)
-		if string(h[:]) != string(want) {
-			continue
-		}
-		proof, err := s.Log.tree.InclusionProof(e.Index, size)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp := proofResponse{LeafIndex: e.Index}
-		for _, p := range proof {
-			resp.AuditPath = append(resp.AuditPath, base64.StdEncoding.EncodeToString(p[:]))
-		}
-		writeJSON(w, resp)
-		return
+	resp := proofResponse{LeafIndex: idx}
+	for _, p := range proof {
+		resp.AuditPath = append(resp.AuditPath, base64.StdEncoding.EncodeToString(p[:]))
 	}
-	http.Error(w, "hash not found", http.StatusNotFound)
+	writeJSON(w, resp)
 }
 
 type consistencyResponse struct {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 )
 
@@ -102,6 +104,81 @@ func TestGetProofByHash(t *testing.T) {
 	root, _ := log.tree.Root(8)
 	if !VerifyInclusion(h, idx, 8, proof, root) {
 		t.Fatal("HTTP-delivered proof does not verify")
+	}
+}
+
+// TestGetProofByHashConcurrentWithAddChain serves get-proof-by-hash
+// while add-chain grows the tree; under -race it proves the handler
+// reads the tree only under the log's lock. Every proof must verify
+// against the STH it was requested for, at the DER's first index.
+func TestGetProofByHashConcurrentWithAddChain(t *testing.T) {
+	log, srv := newTestServer(t)
+	certs := distinctCerts(t, 8)
+	const rounds = 4
+	ctx := context.Background()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for r := 0; r < rounds; r++ {
+			for _, der := range certs {
+				body, _ := json.Marshal(map[string][]string{"chain": {base64.StdEncoding.EncodeToString(der)}})
+				resp, err := http.Post(srv.URL+"/ct/v1/add-chain", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("add-chain: %s", resp.Status)
+					return
+				}
+			}
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cl := &Client{Base: srv.URL}
+			for j := g; ; j++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				size, root, err := cl.GetSTH(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				first := j % len(certs)
+				leaf := LeafHash(certs[first])
+				idx, proof, err := cl.GetProofByHash(ctx, leaf, size)
+				var re *RequestError
+				if errors.As(err, &re) && re.Status == http.StatusNotFound {
+					if first < size {
+						t.Errorf("leaf %d not found at size %d", first, size)
+						return
+					}
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if idx != first || !VerifyInclusion(leaf, idx, size, proof, root) {
+					t.Errorf("proof for leaf %d at size %d: index %d, or it does not verify", first, size, idx)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := log.Size(); got != rounds*len(certs) {
+		t.Fatalf("log size %d, want %d", got, rounds*len(certs))
 	}
 }
 
