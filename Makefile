@@ -8,17 +8,6 @@ RACE_PKGS := ./internal/ctlog/... ./internal/monitor/... ./internal/faultinject/
 	./internal/obs/... ./internal/serve/... ./internal/fleet/... \
 	./internal/index/...
 
-# End-to-end corpus size for `make bench` (34800 ≈ 1:1000 of the
-# paper's dataset). Lower it for quick local runs:
-#   make bench BENCH_E2E_SIZE=3480
-BENCH_E2E_SIZE ?= 34800
-# Free-form note recorded in BENCH_7.json (hardware caveats etc.).
-BENCH_NOTE ?=
-# Interleaved bench rounds: the whole suite runs BENCH_ROUNDS times
-# (round-robin, not back-to-back -count repeats) so benchjson's medians
-# and min/max spread reflect cross-round noise, not warm-cache luck.
-BENCH_ROUNDS ?= 3
-
 # Address the smoke-metrics crawl serves its /metrics endpoint on.
 SMOKE_METRICS_ADDR ?= 127.0.0.1:19321
 
@@ -44,31 +33,10 @@ fuzz:
 
 check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 
-# bench runs the end-to-end pipeline benchmarks (1 iteration each at
-# paper scale), the streaming slot-recycling variant, the per-stage
-# generate/lint benchmarks, the registry allocation guard, the
-# fleet-crawl throughput benchmark, the certificate-index T1–T5
-# query grid (point / prefix / range / ingest / mixed, LSM vs B+tree),
-# the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
-# Merkle-batched seal) and the ctlog proof-path scaling grid
-# (Root / InclusionProof / ConsistencyProof at 2¹⁰, 2¹⁴, 2¹⁷ leaves,
-# amortized Append) — BENCH_ROUNDS interleaved times — then records
-# medians, min/max spread, derived per-cert allocation costs, the obs
-# histogram snapshots, and a delta table against the previous
-# BENCH_*.json in BENCH_7.json.
+# bench runs the end-to-end benchmark harness that BENCHMARK.json
+# names (see bench/README.md for its workloads and metrics).
 bench:
-	{ for r in $$(seq 1 $(BENCH_ROUNDS)); do \
-	    BENCH_E2E_SIZE=$(BENCH_E2E_SIZE) $(GO) test -run '^$$' \
-		-bench 'MeasureCorpusE2E|MeasureCorpusStreamE2E|PipelineGenerateOnly|PipelineLintOnly' \
-		-benchtime 1x -benchmem . ; \
-	    $(GO) test -run '^$$' -bench 'RegistryRun' -benchmem ./internal/lint ; \
-	    $(GO) test -run '^$$' -bench 'FleetCrawl' -benchtime 5x ./internal/fleet ; \
-	    $(GO) test -run '^$$' -bench 'Index(Point|Prefix|Range|Ingest|Mixed)' \
-		-benchmem ./internal/index ; \
-	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)|TreeProofs' \
-		-benchmem ./internal/ctlog ; \
-	  done ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_7.json -note "$(BENCH_NOTE)"
+	$(GO) run ./bench
 
 # profile captures CPU + heap (alloc_space) pprof profiles from a live
 # paper-scale ctscan run via the internal/obs pprof handler; artifacts
@@ -76,10 +44,9 @@ bench:
 profile:
 	./scripts/profile.sh
 
-# allocguard enforces the per-cert allocation budgets in
-# scripts/alloc_budgets.txt against the committed BENCH_7.json — a
-# fast read-only check that fails `make check` when a recorded budget
-# regresses.
+# allocguard runs the budgeted benchmarks (corpus pipeline, index
+# ingest, ctlog write path) and fails `make check` when a per-cert
+# allocation or byte cost exceeds scripts/alloc_budgets.txt.
 allocguard:
 	./scripts/allocguard.sh
 

@@ -395,7 +395,7 @@ func BenchmarkRuleExtraction(b *testing.B) {
 	printTable("§3.1.1 rule extraction", fmt.Sprintf("derived %d constraint rules (%d new)\n", len(rules), newCount))
 }
 
-// ——— E2E pipeline benchmarks (make bench → BENCH_2.json) ———
+// ——— E2E pipeline benchmarks (budgets in scripts/alloc_budgets.txt) ———
 
 // benchE2ESize returns the end-to-end corpus size: the paper-scale
 // default of 34,800 (1:1000 of the dataset), overridable through
@@ -431,26 +431,10 @@ func benchMeasureE2E(b *testing.B, workers int) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(certs)/secs, "certs/s")
 	}
-	printObsHistograms(b.Name(), reg, "pipeline_slot_generate_seconds", "pipeline_slot_lint_seconds")
 }
 
-// printObsHistograms emits one "obshist" line per named histogram so
-// benchjson records the per-slot latency distributions alongside the
-// throughput numbers in BENCH_3.json.
-func printObsHistograms(bench string, reg *obs.Registry, names ...string) {
-	for _, name := range names {
-		h := reg.Histogram(name, nil)
-		s := h.Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		fmt.Printf("obshist %s %s count=%d sum=%g p50=%g p90=%g p99=%g\n",
-			bench, name, s.Count, s.Sum, s.Quantile(0.5), s.Quantile(0.9), s.Quantile(0.99))
-	}
-}
-
-// BenchmarkMeasureCorpusE2E1 is the sequential baseline for the
-// speedup figure in BENCH_2.json.
+// BenchmarkMeasureCorpusE2E1 is the sequential baseline: it covers the
+// pipeline's single-worker path.
 func BenchmarkMeasureCorpusE2E1(b *testing.B) { benchMeasureE2E(b, 1) }
 
 // BenchmarkMeasureCorpusE2E8 measures the fused pipeline at 8 workers.

@@ -11,21 +11,22 @@ import (
 	"repro/internal/x509cert"
 )
 
-// The T6 write-throughput grid, run by `make bench` and recorded into
-// BENCH_7.json:
+// The T6 write-throughput grid, run with
+// `go test -run '^$' -bench Write -benchmem ./internal/ctlog`:
 //
 //	BenchmarkWriteBaseline  Add: DER parse + one SCT signature per entry
 //	BenchmarkWritePerEntry  AddParsed: pre-parsed, one SCT signature per entry
 //	BenchmarkWriteBatched   Batcher at DefaultBatchSize: one seal
 //	                        signature per 256-leaf subtree
 //
-// All three report certs/s so benchjson derives per-cert costs; the
-// spread between PerEntry and Batched is the price of the per-entry
-// ECDSA operation that batch sealing amortizes away.
+// All three report certs/s so scripts/allocguard.sh derives per-cert
+// costs from them; the spread between PerEntry and Batched is the
+// price of the per-entry ECDSA operation that batch sealing amortizes
+// away.
 //
-// BenchmarkTreeProofs is the proof-path scaling check, also run by
-// `make bench`: Root, InclusionProof and ConsistencyProof at historical
-// sizes 2¹⁰, 2¹⁴ and 2¹⁷ of one 2¹⁷-leaf tree, plus amortized Append.
+// BenchmarkTreeProofs (`-bench TreeProofs`) is the proof-path scaling
+// check: Root, InclusionProof and ConsistencyProof at historical sizes
+// 2¹⁰, 2¹⁴ and 2¹⁷ of one 2¹⁷-leaf tree, plus amortized Append.
 // With the per-level subtree cache, ns/op should stay nearly flat
 // across sizes and each proof costs one allocation (its slice).
 

@@ -9,8 +9,7 @@ import (
 // in-process logs with a shared (deduped) slice, crawled end to end
 // through the coordinator — supervised workers, cross-log dedup,
 // bounded feed, per-log checkpoints. The entries/s metric counts
-// every fetched entry (unique + duplicate) per wall-clock second and
-// is recorded in BENCH_4.json by `make bench`.
+// every fetched entry (unique + duplicate) per wall-clock second.
 func BenchmarkFleetCrawl(b *testing.B) {
 	const (
 		logsN  = 4

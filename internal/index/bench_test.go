@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// The T1–T5 query benchmark grid, run for both backends by `make
-// bench` and recorded into BENCH_7.json:
+// The T1–T5 query benchmark grid, run for both backends with
+// `go test -run '^$' -bench Index -benchmem ./internal/index`:
 //
 //	T1 BenchmarkIndexPoint*   exact-domain lookup
 //	T2 BenchmarkIndexPrefix*  domain-prefix scan
@@ -151,8 +151,8 @@ func benchIngest(b *testing.B, mk func() (Index, func())) {
 	}
 	b.StopTimer()
 	cleanup()
-	// One op indexes one certificate; report the rate so benchjson
-	// derives allocs/cert for the allocation-budget guard.
+	// One op indexes one certificate; report the rate so
+	// scripts/allocguard.sh can derive allocs/cert from it.
 	b.ReportMetric(float64(b.N)*1e9/float64(b.Elapsed().Nanoseconds()), "certs/s")
 }
 
