@@ -6,8 +6,8 @@ package ctlog
 // under one lock acquisition and seals it with a single signature
 // over the batch's own Merkle subtree root, and Batcher accumulates
 // submissions into power-of-two subtrees so every seal covers a
-// complete, alignable subtree. `make bench` records the resulting
-// baseline / per-entry / batched write-throughput grid.
+// complete, alignable subtree. `go test -bench Write ./internal/ctlog`
+// runs the baseline / per-entry / batched write-throughput grid.
 
 import (
 	"encoding/binary"

@@ -1,10 +1,13 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The T1–T5 query benchmark grid, run for both backends with
@@ -13,7 +16,8 @@ import (
 //	T1 BenchmarkIndexPoint*   exact-domain lookup
 //	T2 BenchmarkIndexPrefix*  domain-prefix scan
 //	T3 BenchmarkIndexRange*   notBefore date-range scan
-//	T4 BenchmarkIndexIngest*  write-heavy ingest (reports certs/s)
+//	T4 BenchmarkIndexIngest*  write-heavy ingest (reports certs/s;
+//	                          IngestCompacting adds write_amp)
 //	T5 BenchmarkIndexMixed*   interleaved read/write
 //
 // The LSM variants run over a compacted on-disk store; the B+tree
@@ -168,6 +172,63 @@ func BenchmarkIndexIngestLSM(b *testing.B) {
 		}
 		return lsm, func() { lsm.Close(); os.RemoveAll(dir) }
 	})
+}
+
+// BenchmarkIndexIngestCompacting prices the write path under the
+// production policy — default Options, so background tiered compaction
+// runs — which BenchmarkIndexIngestLSM leaves out. One op indexes
+// 100k certificates into a fresh store and closes it; write_amp is the
+// segment bytes written by flushes and merges over the bytes flushed.
+func BenchmarkIndexIngestCompacting(b *testing.B) {
+	const certs = 100000
+	recs := make([]Record, benchRecords)
+	for i := range recs {
+		recs[i] = benchRecord(i)
+	}
+	var flushed, written float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp("", "index-bench-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var journal bytes.Buffer
+		lsm, err := Open(Options{Dir: dir, Journal: obs.NewJournal(&journal, nil)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for i := 0; i < certs; i++ {
+			if err := lsm.Put(recs[i%len(recs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := lsm.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		os.RemoveAll(dir)
+		events, err := obs.ReadJournal(&journal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ev := range events {
+			n, _ := ev.Attrs["bytes"].(float64)
+			switch ev.Type {
+			case "index.flush":
+				flushed += n
+				written += n
+			case "index.compact":
+				written += n
+			}
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*certs/b.Elapsed().Seconds(), "certs/s")
+	b.ReportMetric(written/flushed, "write_amp")
 }
 
 func BenchmarkIndexIngestBTree(b *testing.B) {

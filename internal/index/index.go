@@ -8,13 +8,13 @@
 // (point, prefix, date range, and the homograph "?skeleton=" cluster
 // query) are all one ordered-key scan.
 //
-// Two backends answer the same Index interface: an embedded LSM
-// (mutable sorted memtable + immutable CRC-sealed segment files with
-// per-segment bloom filters and background compaction) that persists
-// across restarts, and an in-memory B+tree baseline kept around for
-// the T1–T5 benchmark grid and as a differential-testing oracle — the
-// fuzz harness asserts both return byte-identical results for every
-// query.
+// The store is an embedded LSM (a sorted memtable + immutable
+// CRC-sealed segment files with per-segment bloom filters and
+// size-tiered background compaction) that persists across restarts.
+// The package's tests carry an in-memory B+tree that answers the same
+// Index interface: it is the differential-testing oracle — the fuzz
+// harness asserts both return byte-identical results for every query —
+// and the baseline of the T1–T5 benchmark grid.
 //
 // The store is append-only by design: postings are never updated or
 // deleted (a CT log never un-logs a certificate), which removes the
@@ -197,7 +197,7 @@ type Stats struct {
 	Compactions uint64 `json:"compactions"`
 }
 
-// Index is the store contract both backends implement.
+// Index is the store contract the LSM and the test B+tree implement.
 type Index interface {
 	// Put indexes one certificate's postings. The record's Seq is
 	// assigned by the store; all other fields are the caller's.
@@ -212,8 +212,9 @@ type Index interface {
 	// Flush persists the mutable state (LSM: memtable → segment file;
 	// B+tree: no-op).
 	Flush() error
-	// Compact merges immutable state (LSM: all segments → one;
-	// B+tree: no-op).
+	// Compact merges immutable state (LSM: every segment → one,
+	// whatever its tier, where background compaction merges only full
+	// tiers; B+tree: no-op).
 	Compact() error
 	Stats() Stats
 	Close() error
@@ -233,15 +234,12 @@ type store interface {
 	scanExact(prefix []byte, fn func(key, val []byte) bool) error
 }
 
-// postingKey builds <space> 0x00 <primary> 0x00 <seq BE>.
-func postingKey(space byte, primary []byte, seq uint64) []byte {
-	k := make([]byte, 0, len(primary)+11)
-	k = append(k, space, 0)
-	k = append(k, primary...)
-	k = append(k, 0)
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], seq)
-	return append(k, s[:]...)
+// appendPostingKey appends <space> 0x00 <primary> 0x00 <seq BE>.
+func appendPostingKey(dst []byte, space byte, primary string, seq uint64) []byte {
+	dst = append(dst, space, 0)
+	dst = append(dst, primary...)
+	dst = append(dst, 0)
+	return binary.BigEndian.AppendUint64(dst, seq)
 }
 
 // exactPrefix is the scan prefix covering every seq of one primary.
@@ -269,27 +267,32 @@ func upperBound(p []byte) []byte {
 // timeKey encodes notBefore for the time space: seconds shifted to
 // unsigned so pre-1970 notBefore values (misissued certs have them)
 // still sort correctly as big-endian bytes.
-func timeKey(t time.Time) []byte {
+func timeKey(t time.Time) [8]byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(t.Unix())+(1<<63))
-	return b[:]
+	return b
 }
 
-// postings returns the full key set for one record. The cert posting
-// carries the record too, so counting and full iteration need no join.
-func postings(rec *Record, val []byte) ([][]byte, error) {
+// postings calls fn with each of the record's five posting keys, one
+// per key space, built in scratch, which it returns for reuse (fn
+// copies any key it keeps). The cert posting carries the record too,
+// so counting and full iteration need no join. A record string holding
+// a NUL byte is rejected before fn sees any key.
+func postings(rec *Record, scratch []byte, fn func(key []byte)) ([]byte, error) {
 	for _, s := range [...]string{rec.Domain, rec.Skeleton, rec.Issuer, rec.Log} {
 		if strings.IndexByte(s, 0) >= 0 {
-			return nil, fmt.Errorf("index: NUL byte in record string %q", s)
+			return scratch, fmt.Errorf("index: NUL byte in record string %q", s)
 		}
 	}
-	keys := make([][]byte, 0, 5)
-	keys = append(keys, postingKey(spaceCert, nil, rec.Seq))
-	keys = append(keys, postingKey(spaceDomain, []byte(rec.Domain), rec.Seq))
-	keys = append(keys, postingKey(spaceSkeleton, []byte(rec.Skeleton), rec.Seq))
-	keys = append(keys, postingKey(spaceIssuer, []byte(rec.Issuer), rec.Seq))
-	keys = append(keys, postingKey(spaceTime, timeKey(rec.NotBefore), rec.Seq))
-	return keys, nil
+	tk := timeKey(rec.NotBefore)
+	for _, k := range [...]struct {
+		space   byte
+		primary string
+	}{{spaceCert, ""}, {spaceDomain, rec.Domain}, {spaceSkeleton, rec.Skeleton}, {spaceIssuer, rec.Issuer}, {spaceTime, string(tk[:])}} {
+		scratch = appendPostingKey(scratch[:0], k.space, k.primary, rec.Seq)
+		fn(scratch)
+	}
+	return scratch, nil
 }
 
 // evalLookup is the shared query evaluator: it picks the key-space
@@ -336,8 +339,9 @@ func evalLookup(s store, q Query, dst []Record) ([]Record, error) {
 		if q.To.Before(q.From) {
 			return dst, nil
 		}
-		lo := append([]byte{spaceTime, 0}, timeKey(q.From)...)
-		hi := upperBound(append([]byte{spaceTime, 0}, timeKey(q.To)...))
+		from, to := timeKey(q.From), timeKey(q.To)
+		lo := append([]byte{spaceTime, 0}, from[:]...)
+		hi := upperBound(append([]byte{spaceTime, 0}, to[:]...))
 		if err := s.scan(lo, hi, collect); err != nil {
 			return dst, err
 		}

@@ -5,21 +5,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// LSM is the persistent backend: a mutable sorted memtable absorbs
-// writes, flushes become immutable CRC-sealed segment files, and a
-// background compactor merges segments back down so reads never fan
-// out across more than ~CompactAfter sorted runs. The store is
-// append-only (no updates, no deletes — CT logs never un-log), so
-// compaction is a pure k-way merge with full-key duplicate collapse,
-// and a crash at any point leaves either valid files or files the
-// opener quarantines and REPORTS.
+// LSM is the persistent backend: a sorted memtable absorbs writes,
+// flushes stream it into immutable CRC-sealed segment files, and a
+// background compactor merges segments by size tier — once F segments
+// of one tier exist they merge into one segment of a higher tier — so
+// a posting is rewritten O(log n) times and reads fan out across
+// O(F·log n) sorted runs. The store is append-only (no updates, no
+// deletes — CT logs never un-log), so compaction is a pure k-way merge
+// with full-key duplicate collapse, and a crash at any point leaves
+// either valid files or files the opener quarantines and REPORTS.
 type LSM struct {
 	opts Options
 
@@ -33,7 +34,7 @@ type LSM struct {
 	flushes     atomic.Uint64
 	compactions atomic.Uint64
 
-	compactMu   sync.Mutex // serializes Compact bodies
+	compactMu   sync.Mutex // serializes merges
 	compactKick chan struct{}
 	compactDone chan struct{}
 	closed      bool
@@ -43,7 +44,7 @@ type LSM struct {
 	compactCtr *obs.Counter
 	damagedCtr *obs.Counter
 
-	encBuf []byte // Put scratch; guarded by mu
+	encBuf, keyBuf []byte // Put scratch; guarded by mu
 }
 
 // Options tunes an LSM store. Only Dir is required.
@@ -53,9 +54,11 @@ type Options struct {
 	// FlushAt is the memtable posting count that triggers an automatic
 	// flush (default 4096).
 	FlushAt int
-	// CompactAfter is the segment count that wakes the background
-	// compactor (default 8; negative disables auto-compaction — tests
-	// drive Compact explicitly for determinism).
+	// CompactAfter is the size-tier fanout F of background compaction:
+	// a segment of p postings sits in tier ⌊log_F(p/FlushAt)⌋, and once
+	// a tier holds F segments they merge into one (default 4, at least
+	// 2; negative disables auto-compaction — tests drive Compact
+	// explicitly for determinism).
 	CompactAfter int
 	// Obs, when non-nil, receives the index_* instruments.
 	Obs *obs.Registry
@@ -71,38 +74,49 @@ func (o Options) flushAt() int {
 	return 4096
 }
 
-func (o Options) compactAfter() int {
-	if o.CompactAfter != 0 {
-		return o.CompactAfter
+// fanout is the tier fanout F; negative means auto-compaction is off.
+func (o Options) fanout() int {
+	switch {
+	case o.CompactAfter == 0:
+		return 4
+	case o.CompactAfter == 1:
+		return 2
 	}
-	return 8
+	return o.CompactAfter
 }
 
-// memtable is the mutable sorted run: parallel key/value slices kept
-// in ascending key order by binary-search insertion. It is bounded by
-// FlushAt, so the shift cost of an insert stays small and cache-warm.
+// tier is a segment's size tier, ⌊log_F(postings/FlushAt)⌋; segments
+// smaller than FlushAt (a Close-time flush) sit in tier 0.
+func (o Options) tier(postings int) int {
+	t, f := 0, o.fanout()
+	for n := postings / o.flushAt(); n >= f; n /= f {
+		t++
+	}
+	return t
+}
+
+// memtable is the mutable sorted run. Postings append to one arena in
+// arrival order, and binary-search insertion keeps offs in key order,
+// so an insert shifts 4 bytes per posting. It is bounded by FlushAt,
+// and a flush reuses its arena.
 type memtable struct {
-	keys  [][]byte
-	vals  [][]byte
+	run
 	certs uint64
 }
 
 func (m *memtable) insert(key, val []byte) {
-	i := sort.Search(len(m.keys), func(i int) bool { return bytes.Compare(m.keys[i], key) >= 0 })
-	m.keys = append(m.keys, nil)
-	copy(m.keys[i+1:], m.keys[i:])
-	m.keys[i] = key
-	m.vals = append(m.vals, nil)
-	copy(m.vals[i+1:], m.vals[i:])
-	m.vals[i] = val
-	if len(key) > 0 && key[0] == spaceCert {
+	i := m.search(key)
+	off := uint32(len(m.buf))
+	m.buf = appendPosting(m.buf, key, val)
+	m.offs = append(m.offs, 0)
+	copy(m.offs[i+1:], m.offs[i:])
+	m.offs[i] = off
+	if key[0] == spaceCert {
 		m.certs++
 	}
 }
 
-func (m *memtable) reset() { m.keys, m.vals, m.certs = nil, nil, 0 }
-
-func compareKeys(a, b []byte) int { return bytes.Compare(a, b) }
+func (m *memtable) reset() { m.buf, m.offs, m.certs = m.buf[:0], m.offs[:0], 0 }
 
 // Open loads (or creates) an LSM store in opts.Dir. Segment files that
 // fail validation are renamed *.damaged, counted, journaled, and
@@ -138,8 +152,8 @@ func Open(opts Options) (*LSM, error) {
 			l.quarantine(path, perr)
 			continue
 		}
-		for _, k := range seg.keys {
-			if s := keySeq(k); s > maxSeq {
+		for i := range seg.offs {
+			if s := keySeq(seg.key(i)); s > maxSeq {
 				maxSeq = s
 			}
 		}
@@ -199,7 +213,7 @@ func (l *LSM) instrument() {
 	reg.GaugeFunc("index_memtable_postings", func() float64 {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
-		return float64(len(l.mem.keys))
+		return float64(len(l.mem.offs))
 	})
 	for range l.damaged {
 		l.damagedCtr.Inc()
@@ -213,16 +227,13 @@ func (l *LSM) Put(rec Record) error {
 	l.mu.Lock()
 	rec.Seq = l.seq.Add(1)
 	l.encBuf = appendRecord(l.encBuf[:0], &rec)
-	val := append([]byte(nil), l.encBuf...)
-	keys, err := postings(&rec, val)
+	var err error
+	l.keyBuf, err = postings(&rec, l.keyBuf, func(key []byte) { l.mem.insert(key, l.encBuf) })
 	if err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	for _, k := range keys {
-		l.mem.insert(k, val)
-	}
-	full := len(l.mem.keys) >= l.opts.flushAt()
+	full := len(l.mem.offs) >= l.opts.flushAt()
 	var ferr error
 	if full {
 		ferr = l.flushLocked()
@@ -251,38 +262,78 @@ func (l *LSM) Flush() error {
 }
 
 func (l *LSM) flushLocked() error {
-	if len(l.mem.keys) == 0 {
+	m := &l.mem
+	if len(m.offs) == 0 {
 		return nil
 	}
-	path := segmentPath(l.opts.Dir, l.nextSeg)
-	buf := buildSegment(l.mem.keys, l.mem.vals)
-	if err := writeSegment(path, buf); err != nil {
-		return err
+	w := newSegmentWriter(len(m.offs), len(m.buf))
+	for i := range m.offs {
+		_, _, raw := m.posting(i)
+		w.add(raw)
 	}
-	seg, err := parseSegment(path, buf)
+	path := segmentPath(l.opts.Dir, l.nextSeg)
+	buf := w.finish()
+	seg, err := publish(path, buf)
 	if err != nil {
-		// Can only mean buildSegment and parseSegment disagree — a bug,
-		// not an I/O condition.
-		return fmt.Errorf("index: freshly built segment failed validation: %w", err)
+		return err
 	}
 	l.nextSeg++
 	l.segments = append(l.segments, seg)
-	postings := len(l.mem.keys)
-	l.mem.reset()
+	postings := len(m.offs)
+	m.reset()
 	l.flushes.Add(1)
 	l.flushCtr.Inc()
 	l.opts.Journal.Emit(nil, "index.flush", map[string]any{
-		"segment": path, "postings": postings,
+		"segment": path, "postings": postings, "bytes": len(buf),
 	})
 	return nil
 }
 
-func (l *LSM) maybeKickCompact() {
-	if l.opts.compactAfter() < 0 {
-		return
+// publish durably writes a finished segment image and loads it back
+// through parseSegment, so a writer that disagrees with the reader
+// fails here rather than at the next open.
+func publish(path string, buf []byte) (*segment, error) {
+	if err := writeSegment(path, buf); err != nil {
+		return nil, err
 	}
+	seg, err := parseSegment(path, buf)
+	if err != nil {
+		return nil, fmt.Errorf("index: freshly written segment failed validation: %w", err)
+	}
+	return seg, nil
+}
+
+// fullTier returns the oldest F segments of the lowest tier holding F
+// or more, or nil when no tier is full or auto-compaction is off.
+// Callers hold mu.
+func (l *LSM) fullTier() []*segment {
+	f := l.opts.fanout()
+	if f < 0 {
+		return nil
+	}
+	var count [64]int // a tier is at most log2 of a uint32 posting count
+	full := -1
+	for _, s := range l.segments {
+		t := l.opts.tier(len(s.offs))
+		if count[t]++; count[t] >= f && (full < 0 || t < full) {
+			full = t
+		}
+	}
+	if full < 0 {
+		return nil
+	}
+	inputs := make([]*segment, 0, f)
+	for _, s := range l.segments {
+		if len(inputs) < f && l.opts.tier(len(s.offs)) == full {
+			inputs = append(inputs, s)
+		}
+	}
+	return inputs
+}
+
+func (l *LSM) maybeKickCompact() {
 	l.mu.RLock()
-	want := len(l.segments) >= l.opts.compactAfter()
+	want := !l.closed && l.fullTier() != nil
 	l.mu.RUnlock()
 	if !want {
 		return
@@ -294,58 +345,91 @@ func (l *LSM) maybeKickCompact() {
 }
 
 // compactLoop is the background compactor: one goroutine, woken by
-// flushes that cross the CompactAfter threshold, gone at Close.
+// flushes that fill a tier, gone at Close.
 func (l *LSM) compactLoop() {
 	defer close(l.compactDone)
 	for range l.compactKick {
-		if err := l.Compact(); err != nil {
+		if err := l.compactTiers(); err != nil {
 			l.opts.Journal.Emit(nil, "index.compact_error", map[string]any{"err": err.Error()})
 		}
 	}
 }
 
-// Compact merges every current segment into one, collapsing full-key
-// duplicates (which only exist after a crash between a previous
-// compaction's rename and its input unlinks). Queries proceed against
-// the old segments until the atomic list swap at the end.
+// compactTiers merges full tiers, lowest first, until none is full.
+func (l *LSM) compactTiers() error {
+	for {
+		l.compactMu.Lock()
+		l.mu.RLock()
+		inputs := l.fullTier()
+		l.mu.RUnlock()
+		var err error
+		if inputs != nil {
+			err = l.merge(inputs)
+		}
+		l.compactMu.Unlock()
+		if inputs == nil || err != nil {
+			return err
+		}
+	}
+}
+
+// Compact merges every current segment into one, whatever its tier.
 func (l *LSM) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
-
-	l.mu.Lock()
-	inputs := append([]*segment(nil), l.segments...)
-	id := l.nextSeg
-	l.nextSeg++ // reserve: a concurrent flush must not claim the same file
-	l.mu.Unlock()
+	l.mu.RLock()
+	inputs := slices.Clone(l.segments)
+	l.mu.RUnlock()
 	if len(inputs) < 2 {
 		return nil
 	}
+	return l.merge(inputs)
+}
 
-	var keys, vals [][]byte
+// merge streams the k-way merge of inputs into one new segment,
+// collapsing full-key duplicates (which only exist after a crash
+// between a previous merge's rename and its input unlinks), and swaps
+// it in for them by identity, so segments flushed or merged meanwhile
+// stay. Queries proceed against the inputs until the swap. Callers
+// hold compactMu.
+func (l *LSM) merge(inputs []*segment) error {
+	l.mu.Lock()
+	id := l.nextSeg
+	l.nextSeg++ // reserve: a concurrent flush must not claim the same file
+	l.mu.Unlock()
+
 	cursors := make([]cursor, len(inputs))
+	n, dataLen := 0, 0
 	for i, s := range inputs {
-		cursors[i] = cursor{keys: s.keys, vals: s.vals}
+		cursors[i] = cursor{r: &s.run}
+		n += len(s.offs)
+		dataLen += len(s.buf)
 	}
-	mergeCursors(cursors, nil, nil, func(k, v []byte) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
+	w := newSegmentWriter(n, dataLen)
+	mergeCursors(cursors, nil, nil, func(c *cursor) bool {
+		_, _, raw := c.posting()
+		w.add(raw)
 		return true
 	})
-
 	path := segmentPath(l.opts.Dir, id)
-	buf := buildSegment(keys, vals)
-	if err := writeSegment(path, buf); err != nil {
-		return err
-	}
-	merged, err := parseSegment(path, buf)
+	buf := w.finish()
+	merged, err := publish(path, buf)
 	if err != nil {
-		return fmt.Errorf("index: merged segment failed validation: %w", err)
+		return err
 	}
 
 	l.mu.Lock()
-	// Newer flushes may have appended segments behind the snapshot;
-	// keep them.
-	l.segments = append([]*segment{merged}, l.segments[len(inputs):]...)
+	kept := make([]*segment, 0, len(l.segments)-len(inputs)+1)
+	for _, s := range l.segments {
+		switch {
+		case !slices.Contains(inputs, s):
+			kept = append(kept, s)
+		case merged != nil: // the merge takes its first input's place
+			kept = append(kept, merged)
+			merged = nil
+		}
+	}
+	l.segments = kept
 	l.mu.Unlock()
 	for _, s := range inputs {
 		os.Remove(s.path)
@@ -353,7 +437,7 @@ func (l *LSM) Compact() error {
 	l.compactions.Add(1)
 	l.compactCtr.Inc()
 	l.opts.Journal.Emit(nil, "index.compact", map[string]any{
-		"inputs": len(inputs), "postings": len(keys), "segment": path,
+		"inputs": len(inputs), "postings": w.count, "bytes": len(buf), "segment": path,
 	})
 	return nil
 }
@@ -373,44 +457,62 @@ type lsmStore LSM
 
 func (s *lsmStore) sources(bloomPrimary []byte) []cursor {
 	cs := make([]cursor, 0, len(s.segments)+1)
-	cs = append(cs, cursor{keys: s.mem.keys, vals: s.mem.vals})
+	cs = append(cs, cursor{r: &s.mem.run})
 	for _, seg := range s.segments {
 		if bloomPrimary != nil && !seg.bloom.mayContain(bloomPrimary) {
 			continue
 		}
-		cs = append(cs, cursor{keys: seg.keys, vals: seg.vals})
+		cs = append(cs, cursor{r: &seg.run})
 	}
 	return cs
 }
 
 func (s *lsmStore) scan(lo, hi []byte, fn func(key, val []byte) bool) error {
-	mergeCursors(s.sources(nil), lo, hi, fn)
+	mergeCursors(s.sources(nil), lo, hi, func(c *cursor) bool {
+		key, val, _ := c.posting()
+		return fn(key, val)
+	})
 	return nil
 }
 
 func (s *lsmStore) scanExact(prefix []byte, fn func(key, val []byte) bool) error {
 	// prefix is <space> 0x00 <primary> 0x00; the blooms store the form
 	// without the trailing separator.
-	mergeCursors(s.sources(prefix[:len(prefix)-1]), prefix, upperBound(prefix), fn)
+	mergeCursors(s.sources(prefix[:len(prefix)-1]), prefix, upperBound(prefix), func(c *cursor) bool {
+		key, val, _ := c.posting()
+		return fn(key, val)
+	})
 	return nil
 }
 
-// cursor walks one sorted run.
+// cursor walks one sorted run, caching the key under it (nil once
+// the run is exhausted or past the scan window).
 type cursor struct {
-	keys, vals [][]byte
-	i          int
+	r   *run
+	i   int
+	key []byte
 }
+
+func (c *cursor) load() {
+	c.key = nil
+	if c.i < len(c.r.offs) {
+		c.key = c.r.key(c.i)
+	}
+}
+
+func (c *cursor) posting() (key, val, raw []byte) { return c.r.posting(c.i) }
 
 // mergeCursors streams the ascending union of the runs within
 // [lo, hi), collapsing full-key duplicates, until fn returns false.
-// Runs are few (memtable + ≤ CompactAfter segments), so a linear min
-// pick beats heap bookkeeping.
-func mergeCursors(cs []cursor, lo, hi []byte, fn func(key, val []byte) bool) {
+// Runs are few (memtable + under F segments per tier), so a linear
+// min pick beats heap bookkeeping.
+func mergeCursors(cs []cursor, lo, hi []byte, fn func(c *cursor) bool) {
 	for i := range cs {
+		c := &cs[i]
 		if lo != nil {
-			c := &cs[i]
-			c.i = sort.Search(len(c.keys), func(j int) bool { return bytes.Compare(c.keys[j], lo) >= 0 })
+			c.i = c.r.search(lo)
 		}
+		c.load()
 	}
 	var prev []byte
 	for {
@@ -418,17 +520,18 @@ func mergeCursors(cs []cursor, lo, hi []byte, fn func(key, val []byte) bool) {
 		for i := range cs {
 			c := &cs[i]
 			// Skip duplicates of the previously emitted key.
-			for c.i < len(c.keys) && prev != nil && bytes.Equal(c.keys[c.i], prev) {
+			for c.key != nil && prev != nil && bytes.Equal(c.key, prev) {
 				c.i++
+				c.load()
 			}
-			if c.i >= len(c.keys) {
+			if c.key == nil {
 				continue
 			}
-			if hi != nil && bytes.Compare(c.keys[c.i], hi) >= 0 {
-				c.i = len(c.keys) // past the window; retire this run
+			if hi != nil && bytes.Compare(c.key, hi) >= 0 {
+				c.key = nil // past the window; retire this run
 				continue
 			}
-			if min < 0 || bytes.Compare(c.keys[c.i], cs[min].keys[cs[min].i]) < 0 {
+			if min < 0 || bytes.Compare(c.key, cs[min].key) < 0 {
 				min = i
 			}
 		}
@@ -436,11 +539,12 @@ func mergeCursors(cs []cursor, lo, hi []byte, fn func(key, val []byte) bool) {
 			return
 		}
 		c := &cs[min]
-		if !fn(c.keys[c.i], c.vals[c.i]) {
+		if !fn(c) {
 			return
 		}
-		prev = c.keys[c.i]
+		prev = c.key
 		c.i++
+		c.load()
 	}
 }
 
@@ -451,8 +555,8 @@ func (l *LSM) Stats() Stats {
 	st := Stats{
 		Backend:     "lsm",
 		Certs:       l.mem.certs,
-		Postings:    uint64(len(l.mem.keys)),
-		MemPostings: len(l.mem.keys),
+		Postings:    uint64(len(l.mem.offs)),
+		MemPostings: len(l.mem.offs),
 		Segments:    len(l.segments),
 		Flushes:     l.flushes.Load(),
 		Compactions: l.compactions.Load(),
@@ -462,7 +566,7 @@ func (l *LSM) Stats() Stats {
 	}
 	for _, s := range l.segments {
 		st.Certs += s.certs
-		st.Postings += uint64(len(s.keys))
+		st.Postings += uint64(len(s.offs))
 	}
 	return st
 }
@@ -480,5 +584,9 @@ func (l *LSM) Close() error {
 	l.mu.Unlock()
 	close(l.compactKick)
 	<-l.compactDone
+	// Merge any tier the last flush filled: the store rests with none full.
+	if cerr := l.compactTiers(); err == nil {
+		err = cerr
+	}
 	return err
 }

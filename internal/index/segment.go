@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -40,37 +41,110 @@ const (
 	segmentSuffix  = ".useg"
 )
 
-// segment is one loaded immutable sorted run.
+// run is one pointer-free sorted run, the shape of both the memtable
+// and a loaded segment: buf holds postings in the segment data
+// encoding (uvarint klen, key, uvarint vlen, val) and offs holds each
+// posting's start in buf, in ascending key order. Nothing in a run is
+// a pointer per posting, so the GC never scans its postings.
+type run struct {
+	buf  []byte
+	offs []uint32
+}
+
+// appendPosting encodes one posting onto buf.
+func appendPosting(buf, key, val []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(len(val)))
+	return append(buf, val...)
+}
+
+// field decodes the uvarint-framed bytes at buf[p:] and returns them
+// with the offset just past them. Runs are built by this package or
+// validated by parseSegment, so the framing is trusted here.
+func field(buf []byte, p int) ([]byte, int) {
+	n, w := uint64(buf[p]), 1
+	if n >= 0x80 {
+		n, w = binary.Uvarint(buf[p:])
+	}
+	p += w
+	return buf[p : p+int(n)], p + int(n)
+}
+
+func (r *run) key(i int) []byte {
+	k, _ := field(r.buf, int(r.offs[i]))
+	return k
+}
+
+// posting returns posting i's key, value and raw encoding.
+func (r *run) posting(i int) (key, val, raw []byte) {
+	start := int(r.offs[i])
+	key, p := field(r.buf, start)
+	val, p = field(r.buf, p)
+	return key, val, r.buf[start:p]
+}
+
+// search returns the index of the first posting whose key is >= key.
+func (r *run) search(key []byte) int {
+	lo, hi := 0, len(r.offs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bytes.Compare(r.key(m), key) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// segment is one loaded immutable sorted run. Its run and bloom are
+// slices of the file image.
 type segment struct {
-	path  string
-	keys  [][]byte
-	vals  [][]byte
+	path string
+	run
 	bloom bloom
 	certs uint64 // postings in the cert space
 }
 
-// buildSegment serializes sorted postings (keys strictly ascending)
-// into the wire format.
-func buildSegment(keys, vals [][]byte) []byte {
-	var data []byte
-	for i := range keys {
-		data = binary.AppendUvarint(data, uint64(len(keys[i])))
-		data = append(data, keys[i]...)
-		data = binary.AppendUvarint(data, uint64(len(vals[i])))
-		data = append(data, vals[i]...)
+// segmentWriter streams postings, already in the data encoding and in
+// strictly ascending key order, into a segment file image. The image
+// is sized up front from the inputs, so a flush or a merge copies each
+// posting once.
+type segmentWriter struct {
+	buf   []byte
+	count int
+}
+
+// newSegmentWriter sizes the image for at most n postings taking
+// dataLen encoded bytes in all.
+func newSegmentWriter(n, dataLen int) *segmentWriter {
+	return &segmentWriter{buf: make([]byte, segmentHdrLen, segmentHdrLen+dataLen+bloomLen(n)+4)}
+}
+
+func (w *segmentWriter) add(raw []byte) {
+	w.buf = append(w.buf, raw...)
+	w.count++
+}
+
+// finish seals the image: the bloom over every posting primary, the
+// header, and the CRC.
+func (w *segmentWriter) finish() []byte {
+	buf := w.buf
+	dataEnd := len(buf)
+	buf = append(buf, make([]byte, bloomLen(w.count))...)
+	bl := bloom{bits: buf[dataEnd:]}
+	for p := segmentHdrLen; p < dataEnd; {
+		var key []byte
+		key, p = field(buf, p)
+		_, p = field(buf, p)
+		bl.add(postingPrimary(key))
 	}
-	bl := newBloom(len(keys))
-	for _, k := range keys {
-		bl.add(postingPrimary(k))
-	}
-	buf := make([]byte, segmentHdrLen, segmentHdrLen+len(data)+len(bl.bits)+4)
 	copy(buf[0:4], segmentMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], segmentVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(keys)))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(data)))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(w.count))
+	binary.LittleEndian.PutUint32(buf[12:16], uint32(dataEnd-segmentHdrLen))
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(bl.bits)))
-	buf = append(buf, data...)
-	buf = append(buf, bl.bits...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -108,27 +182,26 @@ func parseSegment(path string, buf []byte) (*segment, error) {
 	}
 	s := &segment{
 		path:  path,
-		keys:  make([][]byte, 0, count),
-		vals:  make([][]byte, 0, count),
+		run:   run{buf: buf[segmentHdrLen : segmentHdrLen+dataLen], offs: make([]uint32, 0, count)},
 		bloom: bloom{bits: buf[segmentHdrLen+dataLen : segmentHdrLen+dataLen+bloomLen]},
 	}
-	p := buf[segmentHdrLen : segmentHdrLen+dataLen]
+	p := s.buf
 	var prev []byte
 	for i := 0; i < count; i++ {
+		start := uint32(dataLen - len(p))
 		key, rest, err := takeBytes(p)
 		if err != nil {
 			return nil, fmt.Errorf("index: segment %s: posting %d: %v", filepath.Base(path), i, err)
 		}
-		val, rest, err := takeBytes(rest)
+		_, rest, err = takeBytes(rest)
 		if err != nil {
 			return nil, fmt.Errorf("index: segment %s: posting %d: %v", filepath.Base(path), i, err)
 		}
-		if prev != nil && compareKeys(prev, key) >= 0 {
+		if prev != nil && bytes.Compare(prev, key) >= 0 {
 			return nil, fmt.Errorf("index: segment %s: posting %d out of order", filepath.Base(path), i)
 		}
 		prev = key
-		s.keys = append(s.keys, key)
-		s.vals = append(s.vals, val)
+		s.offs = append(s.offs, start)
 		if len(key) > 0 && key[0] == spaceCert {
 			s.certs++
 		}
@@ -227,15 +300,11 @@ type bloom struct {
 
 const bloomHashes = 4
 
-// newBloom sizes ~10 bits per distinct element (≈1% false positives
-// at k=4); n is the posting count, an overestimate of distinct
-// primaries, which only makes the filter more accurate.
-func newBloom(n int) bloom {
-	bytes := (n*10 + 7) / 8
-	if bytes < 8 {
-		bytes = 8
-	}
-	return bloom{bits: make([]byte, bytes)}
+// bloomLen sizes a filter at ~10 bits per distinct element (≈1% false
+// positives at k=4); n is the posting count, an overestimate of
+// distinct primaries, which only makes the filter more accurate.
+func bloomLen(n int) int {
+	return max((n*10+7)/8, 8)
 }
 
 // bloomHash is FNV-1a 64 split into two 32-bit halves for double
