@@ -209,6 +209,25 @@ func nonNFCLabelForTest() string {
 	return l
 }
 
+// triggerDER builds the trigger certificate for one mutation.
+func triggerDER(t *testing.T, mutate trigger) []byte {
+	t.Helper()
+	tpl := &x509cert.Template{
+		SerialNumber: big.NewInt(31),
+		Issuer:       x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDCommonName, "Trigger CA")),
+		Subject:      x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDCommonName, "test.com")),
+		NotBefore:    time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC),
+		NotAfter:     time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC),
+		SAN:          []x509cert.GeneralName{x509cert.DNSName("test.com")},
+	}
+	mutate(tpl)
+	der, err := x509cert.Build(tpl, lintCAKey, lintLeafKey)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return der
+}
+
 func TestEveryLintHasATrigger(t *testing.T) {
 	for _, l := range lint.Global.All() {
 		if _, ok := triggers[l.Name]; !ok {
@@ -226,20 +245,7 @@ func TestAllTriggersFire(t *testing.T) {
 	for name, mutate := range triggers {
 		name, mutate := name, mutate
 		t.Run(name, func(t *testing.T) {
-			tpl := &x509cert.Template{
-				SerialNumber: big.NewInt(31),
-				Issuer:       x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDCommonName, "Trigger CA")),
-				Subject:      x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDCommonName, "test.com")),
-				NotBefore:    time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC),
-				NotAfter:     time.Date(2025, 4, 1, 0, 0, 0, 0, time.UTC),
-				SAN:          []x509cert.GeneralName{x509cert.DNSName("test.com")},
-			}
-			mutate(tpl)
-			der, err := x509cert.Build(tpl, lintCAKey, lintLeafKey)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			c, err := x509cert.Parse(der)
+			c, err := x509cert.Parse(triggerDER(t, mutate))
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
