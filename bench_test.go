@@ -511,6 +511,41 @@ func BenchmarkPipelineLintOnly(b *testing.B) {
 	}
 }
 
+// lintDERsOnce holds a corpus no other benchmark parses: its own seed
+// keeps the text it decodes from having been seen earlier in the run.
+var (
+	lintDERsOnce sync.Once
+	lintDERs     [][]byte
+)
+
+// BenchmarkPipelineLintDERs is the traffic the batch path and the live
+// consumer see: it parses and lints each DER of a fresh corpus once, as
+// pipeline.LintDERs does, so every certificate decodes its text anew.
+// LintOnly instead re-lints certificates whose text is already decoded.
+func BenchmarkPipelineLintDERs(b *testing.B) {
+	lintDERsOnce.Do(func() {
+		cfg := corpus.DefaultConfig()
+		cfg.Size, cfg.Seed = benchCorpusSize, 33
+		c, err := corpus.Generate(cfg)
+		if err != nil {
+			panic(err)
+		}
+		for _, e := range c.Entries {
+			lintDERs = append(lintDERs, e.DER)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.LintDERs(context.Background(), lintDERs, lint.Global, lint.Options{}, pipeline.Config{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N*len(lintDERs))/secs, "certs/s")
+	}
+}
+
 // ——— Throughput benchmarks for the core pipeline ———
 
 func BenchmarkLintSingleCertificate(b *testing.B) {

@@ -70,7 +70,7 @@ func TestGenerateRawInvalidUTF8(t *testing.T) {
 	if string(atv.Value.Bytes) != string(raw) {
 		t.Fatalf("bytes % X", atv.Value.Bytes)
 	}
-	if _, err := atv.Value.Decode(strenc.Strict); err == nil {
+	if _, err := strenc.Decode(atv.Value.StringType().StandardMethod(), strenc.Strict, atv.Value.Bytes); err == nil {
 		t.Fatal("invalid UTF-8 must fail strict decoding")
 	}
 }

@@ -507,8 +507,9 @@ func regionCode(region string) string {
 // content: non-printable-ASCII anywhere, or IDN labels in
 // DNSName-related fields.
 func IsUnicert(c *x509cert.Certificate) bool {
-	for _, atv := range c.AllAttributes() {
-		if uni.HasNonPrintableASCII(atv.Value.MustDecode()) {
+	texts := c.AttributeTexts()
+	for i, atv := range c.AllAttributes() {
+		if uni.HasNonPrintableASCII(texts[i]) {
 			return true
 		}
 		if atv.Value.Tag != 19 && atv.Value.Tag != 12 && atv.Value.Tag != 22 {
@@ -530,7 +531,7 @@ func IsUnicert(c *x509cert.Certificate) bool {
 			}
 		}
 	}
-	if strings.Contains(c.Subject.CommonName(), "xn--") {
+	if strings.Contains(c.CommonName(), "xn--") {
 		return true
 	}
 	return false

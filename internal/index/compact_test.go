@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -184,4 +185,34 @@ func checkAnswer(q Query, got []Record) error {
 		}
 	}
 	return nil
+}
+
+// TestWritesAfterCloseFail: once Close has flushed and stopped the
+// compactor, a Put or Flush would only strand postings in a memtable
+// nothing persists, so both refuse with ErrClosed and leave the store
+// as Close left it.
+func TestWritesAfterCloseFail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, FlushAt: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		rec := mkRec(fmt.Sprintf("late%d.example", i), "CN=Late CA", "alpha", uint64(i), testBase)
+		if err := l.Put(rec); !errors.Is(err, ErrClosed) {
+			t.Fatalf("put %d after Close: err = %v, want ErrClosed", i, err)
+		}
+	}
+	if err := l.Flush(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Flush after Close: err = %v, want ErrClosed", err)
+	}
+	if st := l.Stats(); st.Certs != 0 || st.Segments != 0 {
+		t.Fatalf("stats after refused writes: %+v", st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
 }

@@ -358,13 +358,13 @@ func evalLookup(s store, q Query, dst []Record) ([]Record, error) {
 func FromCert(log string, logIndex uint64, leafHash [32]byte, cert *x509cert.Certificate) []Record {
 	names := cert.DNSNames()
 	if len(names) == 0 {
-		if cn := cert.Subject.CommonName(); cn != "" {
+		if cn := cert.CommonName(); cn != "" {
 			names = []string{cn}
 		} else {
 			names = []string{""}
 		}
 	}
-	issuer := cert.Issuer.String()
+	issuer := cert.IssuerString()
 	recs := make([]Record, 0, len(names))
 	for _, name := range names {
 		d := strings.ToLower(name)

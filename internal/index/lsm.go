@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -46,6 +47,10 @@ type LSM struct {
 
 	encBuf, keyBuf []byte // Put scratch; guarded by mu
 }
+
+// ErrClosed is what Put and Flush return once Close has run: a write
+// accepted then would sit in the memtable and never be flushed.
+var ErrClosed = errors.New("index: store is closed")
 
 // Options tunes an LSM store. Only Dir is required.
 type Options struct {
@@ -225,6 +230,10 @@ func (l *LSM) instrument() {
 // in the background.
 func (l *LSM) Put(rec Record) error {
 	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrClosed
+	}
 	rec.Seq = l.seq.Add(1)
 	l.encBuf = appendRecord(l.encBuf[:0], &rec)
 	var err error
@@ -252,7 +261,10 @@ func (l *LSM) Put(rec Record) error {
 // Flush implements Index: persist the memtable as a new segment file.
 func (l *LSM) Flush() error {
 	l.mu.Lock()
-	err := l.flushLocked()
+	err := ErrClosed
+	if !l.closed {
+		err = l.flushLocked()
+	}
 	l.mu.Unlock()
 	if err != nil {
 		return err

@@ -5,11 +5,9 @@
 package lints
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/asn1der"
-	"repro/internal/intern"
 	"repro/internal/lint"
 	"repro/internal/strenc"
 	"repro/internal/x509cert"
@@ -28,30 +26,6 @@ var (
 )
 
 func register(l *lint.Lint) { lint.Global.Register(l) }
-
-// dnAttr visits every ATV of the DN.
-func dnAttrs(dn x509cert.DN) []x509cert.ATV { return dn.Attributes() }
-
-func hasAttr(dn x509cert.DN, oid asn1der.OID) bool {
-	for _, rdn := range dn {
-		for _, atv := range rdn {
-			if atv.Type.Equal(oid) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// decodedOrRaw decodes an attribute value with replacement handling so
-// character checks can still inspect undecodable content.
-func decoded(atv x509cert.ATV) string { return atv.Value.MustDecode() }
-
-// dnsNameGNs returns the DNSName GeneralNames across SAN and IAN,
-// memoized on the certificate.
-func dnsNameGNs(c *x509cert.Certificate) []x509cert.GeneralName {
-	return c.DNSNameGNs()
-}
 
 // hasSAN reports whether the certificate carries a SubjectAltName.
 func hasSAN(c *x509cert.Certificate) bool { return len(c.SAN) > 0 }
@@ -87,23 +61,3 @@ func charsetViolation(tag int, s string) (rune, bool) {
 func appliesToSubjectDN(c *x509cert.Certificate) bool { return !c.Subject.Empty() }
 
 func appliesToIssuerDN(c *x509cert.Certificate) bool { return !c.Issuer.Empty() }
-
-// splitCache memoizes splitDomain. The corpus reuses a small pool of
-// SAN names and a dozen lints re-split each one per certificate, so the
-// steady state is a table hit. Cached slices are shared across callers
-// and MUST be treated as read-only; every caller only ranges over them.
-var splitCache = intern.New[[]string](4096)
-
-// splitDomain lowers and splits a dns name into labels, dropping a
-// trailing root dot. The returned slice is shared and read-only.
-func splitDomain(name string) []string {
-	if len(name) > 256 {
-		return strings.Split(strings.TrimSuffix(strings.ToLower(name), "."), ".")
-	}
-	if v, ok := splitCache.GetString(0, name); ok {
-		return v
-	}
-	v := strings.Split(strings.TrimSuffix(strings.ToLower(name), "."), ".")
-	splitCache.PutString(0, name, v)
-	return v
-}

@@ -5,6 +5,7 @@ package lints
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/asn1der"
 	"repro/internal/idna"
@@ -27,7 +28,7 @@ func init() {
 		EffectiveDate: dateRFC5280,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			return dnControlChars(c.Subject)
+			return dnControlChars(c.Subject.Attributes(), c.SubjectTexts())
 		},
 	})
 
@@ -41,7 +42,7 @@ func init() {
 		EffectiveDate: dateRFC5280,
 		CheckApplies:  appliesToIssuerDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			return dnControlChars(c.Issuer)
+			return dnControlChars(c.Issuer.Attributes(), c.IssuerTexts())
 		},
 	})
 
@@ -85,8 +86,9 @@ func init() {
 		EffectiveDate: dateComm,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
-				s := decoded(atv)
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
+				s := texts[i]
 				if s != "" && (s[0] == ' ' || strings.IndexFunc(s[:1], uni.IsWhitespaceVariant) == 0) {
 					return lint.Failf("%s begins with whitespace", x509cert.AttrName(atv.Type))
 				}
@@ -103,12 +105,13 @@ func init() {
 		EffectiveDate: dateComm,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
-				s := decoded(atv)
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
+				s := texts[i]
 				if s == "" {
 					continue
 				}
-				last := []rune(s)[len([]rune(s))-1]
+				last, _ := utf8.DecodeLastRuneInString(s)
 				if last == ' ' || uni.IsWhitespaceVariant(last) {
 					return lint.Failf("%s ends with whitespace", x509cert.AttrName(atv.Type))
 				}
@@ -125,7 +128,7 @@ func init() {
 		Source:        lint.SourceCABF,
 		Taxonomy:      lint.T1InvalidCharacter,
 		EffectiveDate: dateCABF,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return len(dnsNameGNs(c)) > 0 },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
 			for _, name := range c.DNSNameTexts() {
 				for _, r := range name {
@@ -256,8 +259,9 @@ func init() {
 		EffectiveDate: dateIDNA,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
-				for _, r := range decoded(atv) {
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
+				for _, r := range texts[i] {
 					if uni.IsBidiControl(r) {
 						return lint.Failf("%s contains U+%04X", x509cert.AttrName(atv.Type), r)
 					}
@@ -278,8 +282,9 @@ func init() {
 		EffectiveDate: dateIDNA,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
-				for _, r := range decoded(atv) {
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
+				for _, r := range texts[i] {
 					if uni.IsInvisibleLayout(r) && !uni.IsBidiControl(r) {
 						return lint.Failf("%s contains U+%04X", x509cert.AttrName(atv.Type), r)
 					}
@@ -342,11 +347,12 @@ func init() {
 		Taxonomy:      lint.T1InvalidCharacter,
 		EffectiveDate: dateRFC3280,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range c.AllAttributes() {
+			texts := c.AttributeTexts()
+			for i, atv := range c.AllAttributes() {
 				if atv.Value.Tag != asn1der.TagNumericString {
 					continue
 				}
-				if r, bad := charsetViolation(atv.Value.Tag, decoded(atv)); bad {
+				if r, bad := charsetViolation(atv.Value.Tag, texts[i]); bad {
 					return lint.Failf("%s NumericString contains %q", x509cert.AttrName(atv.Type), r)
 				}
 			}
@@ -387,11 +393,12 @@ func init() {
 		New:           true,
 		EffectiveDate: dateRFC5280,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range c.AllAttributes() {
+			texts := c.AttributeTexts()
+			for i, atv := range c.AllAttributes() {
 				if atv.Value.Tag != asn1der.TagUTF8String {
 					continue
 				}
-				for _, r := range decoded(atv) {
+				for _, r := range texts[i] {
 					if uni.IsControl(r) {
 						return lint.Failf("%s UTF8String contains U+%04X", x509cert.AttrName(atv.Type), r)
 					}
@@ -438,7 +445,7 @@ func init() {
 		EffectiveDate: dateComm,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			for _, atv := range c.Subject.Attributes() {
 				// Inspect raw bytes, not the replace-decoded string, so we
 				// only flag genuine U+FFFD content.
 				if atv.Value.Tag == asn1der.TagUTF8String && strings.ContainsRune(string(atv.Value.Bytes), '�') {
@@ -462,9 +469,11 @@ func init() {
 		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.CRLDistributionPoints) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
 			for _, gn := range c.CRLDistributionPoints {
-				for _, r := range gn.MustText() {
-					if uni.IsControl(r) {
-						return lint.Failf("CRL DP contains U+%04X", r)
+				// As IA5 text a byte >= 0x80 reads as U+FFFD, never
+				// a control, so the raw bytes answer without decoding.
+				for _, b := range gn.Bytes {
+					if b < 0x80 && uni.IsControl(rune(b)) {
+						return lint.Failf("CRL DP contains U+%04X", b)
 					}
 				}
 			}
@@ -481,11 +490,12 @@ func init() {
 		Taxonomy:      lint.T1InvalidCharacter,
 		EffectiveDate: dateRFC3280,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range c.AllAttributes() {
+			texts := c.AttributeTexts()
+			for i, atv := range c.AllAttributes() {
 				if atv.Value.Tag != asn1der.TagTeletexString {
 					continue
 				}
-				if r, bad := charsetViolation(atv.Value.Tag, decoded(atv)); bad {
+				if r, bad := charsetViolation(atv.Value.Tag, texts[i]); bad {
 					return lint.Failf("%s TeletexString contains %q", x509cert.AttrName(atv.Type), r)
 				}
 			}
@@ -494,9 +504,9 @@ func init() {
 	})
 }
 
-func dnControlChars(dn x509cert.DN) lint.Result {
-	for _, atv := range dnAttrs(dn) {
-		for _, r := range decoded(atv) {
+func dnControlChars(atvs []x509cert.ATV, texts []string) lint.Result {
+	for i, atv := range atvs {
+		for _, r := range texts[i] {
 			if uni.IsC0(r) {
 				return lint.Failf("%s contains control character U+%04X", x509cert.AttrName(atv.Type), r)
 			}
@@ -506,7 +516,7 @@ func dnControlChars(dn x509cert.DN) lint.Result {
 }
 
 func printableBadAlpha(dn x509cert.DN) lint.Result {
-	for _, atv := range dnAttrs(dn) {
+	for _, atv := range dn.Attributes() {
 		if atv.Value.Tag != asn1der.TagPrintableString {
 			continue
 		}

@@ -56,7 +56,7 @@ func init() {
 		EffectiveDate: dateRFC5280,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			return utf8NotNFC(c.Subject)
+			return utf8NotNFC(c.Subject.Attributes(), c.SubjectTexts())
 		},
 	})
 
@@ -71,7 +71,7 @@ func init() {
 		EffectiveDate: dateRFC5280,
 		CheckApplies:  appliesToIssuerDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			return utf8NotNFC(c.Issuer)
+			return utf8NotNFC(c.Issuer.Attributes(), c.IssuerTexts())
 		},
 	})
 
@@ -106,12 +106,12 @@ func init() {
 	})
 }
 
-func utf8NotNFC(dn x509cert.DN) lint.Result {
-	for _, atv := range dnAttrs(dn) {
+func utf8NotNFC(atvs []x509cert.ATV, texts []string) lint.Result {
+	for i, atv := range atvs {
 		if atv.Value.Tag != asn1der.TagUTF8String {
 			continue
 		}
-		s := decoded(atv)
+		s := texts[i]
 		if !uni.IsNFC(s) {
 			return lint.Failf("%s value %q is not NFC", x509cert.AttrName(atv.Type), s)
 		}

@@ -57,10 +57,10 @@ func notPrintableOrUTF8Lint(name string, side dnSide, oid asn1der.OID, printable
 		New:           isNew,
 		EffectiveDate: dateRFC5280,
 		CheckApplies: func(c *x509cert.Certificate) bool {
-			return hasAttr(side.dn(c), oid)
+			return side.dn(c).Count(oid) > 0
 		},
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(side.dn(c)) {
+			for _, atv := range side.dn(c).Attributes() {
 				if !atv.Type.Equal(oid) {
 					continue
 				}
@@ -138,9 +138,9 @@ func init() {
 		Source:        lint.SourceRFC5280,
 		Taxonomy:      lint.T3InvalidEncoding,
 		EffectiveDate: dateRFC3280,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return hasAttr(c.Subject, x509cert.OIDEmailAddress) },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return c.Subject.Count(x509cert.OIDEmailAddress) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			for _, atv := range c.Subject.Attributes() {
 				if !atv.Type.Equal(x509cert.OIDEmailAddress) {
 					continue
 				}
@@ -160,9 +160,9 @@ func init() {
 		Source:        lint.SourceRFC5280,
 		Taxonomy:      lint.T3InvalidEncoding,
 		EffectiveDate: dateRFC3280,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return hasAttr(c.Subject, x509cert.OIDDomainComponent) },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return c.Subject.Count(x509cert.OIDDomainComponent) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			for _, atv := range c.Subject.Attributes() {
 				if !atv.Type.Equal(x509cert.OIDDomainComponent) {
 					continue
 				}
@@ -214,7 +214,7 @@ func init() {
 			EffectiveDate: dateRFC5280,
 			CheckApplies:  appliesToSubjectDN,
 			Run: func(c *x509cert.Certificate) lint.Result {
-				for _, atv := range dnAttrs(c.Subject) {
+				for _, atv := range c.Subject.Attributes() {
 					if atv.Value.Tag == tag {
 						return lint.Failf("%s uses deprecated encoding", x509cert.AttrName(atv.Type))
 					}
@@ -339,13 +339,14 @@ func init() {
 		EffectiveDate: dateRFC9598,
 		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.EmailAddresses()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, gn := range c.SAN {
+			texts := c.SANTexts()
+			for i, gn := range c.SAN {
 				if gn.Kind != x509cert.GNRFC822Name {
 					continue
 				}
 				for _, b := range gn.Bytes {
 					if b >= 0x80 {
-						return lint.Failf("RFC822Name %q carries non-ASCII content", gn.MustText())
+						return lint.Failf("RFC822Name %q carries non-ASCII content", texts[i])
 					}
 				}
 			}
@@ -370,7 +371,7 @@ func init() {
 				if len(parts) != 2 {
 					continue
 				}
-				for _, label := range splitDomain(parts[1]) {
+				for _, label := range strings.Split(strings.TrimSuffix(strings.ToLower(parts[1]), "."), ".") {
 					if strings.HasPrefix(label, punycode.ACEPrefix) {
 						if err := idna.ValidateALabel(label); err != nil {
 							return lint.Failf("email domain label %q: %v", label, err)
@@ -463,7 +464,7 @@ func init() {
 		EffectiveDate: dateRFC5280,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			for _, atv := range c.Subject.Attributes() {
 				if atv.Value.Tag == asn1der.TagTeletexString {
 					return lint.Failf("%s uses TeletexString", x509cert.AttrName(atv.Type))
 				}

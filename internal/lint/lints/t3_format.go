@@ -7,6 +7,7 @@ package lints
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/asn1der"
 	"repro/internal/idna"
@@ -25,14 +26,15 @@ func maxLengthLint(name string, oid asn1der.OID, max int) *lint.Lint {
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateRFC3280,
 		CheckApplies: func(c *x509cert.Certificate) bool {
-			return hasAttr(c.Subject, oid)
+			return c.Subject.Count(oid) > 0
 		},
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
 				if !atv.Type.Equal(oid) {
 					continue
 				}
-				if n := len([]rune(decoded(atv))); n > max {
+				if n := utf8.RuneCountInString(texts[i]); n > max {
 					return lint.Failf("%s has %d characters (max %d)", x509cert.AttrName(oid), n, max)
 				}
 			}
@@ -80,13 +82,14 @@ func init() {
 		Source:        lint.SourceCABF,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateCABF,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return hasAttr(c.Subject, x509cert.OIDCountryName) },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return c.Subject.Count(x509cert.OIDCountryName) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
 				if !atv.Type.Equal(x509cert.OIDCountryName) {
 					continue
 				}
-				v := decoded(atv)
+				v := texts[i]
 				if len(v) != 2 || !isLetters(v) {
 					return lint.Failf("countryName %q is not a 2-letter code", v)
 				}
@@ -103,13 +106,14 @@ func init() {
 		Source:        lint.SourceCABF,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateCABF,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return hasAttr(c.Subject, x509cert.OIDCountryName) },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return c.Subject.Count(x509cert.OIDCountryName) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			texts := c.SubjectTexts()
+			for i, atv := range c.Subject.Attributes() {
 				if !atv.Type.Equal(x509cert.OIDCountryName) {
 					continue
 				}
-				v := decoded(atv)
+				v := texts[i]
 				if len(v) == 2 && isLetters(v) && v != strings.ToUpper(v) {
 					return lint.Failf("countryName %q is not upper case", v)
 				}
@@ -126,7 +130,7 @@ func init() {
 		Source:        lint.SourceRFC1034,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateRFC3280,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return len(dnsNameGNs(c)) > 0 },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
 			for _, labels := range c.DNSNameLabels() {
 				for _, l := range labels {
@@ -145,11 +149,13 @@ func init() {
 		Source:        lint.SourceRFC1034,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateRFC3280,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return len(dnsNameGNs(c)) > 0 },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, gn := range dnsNameGNs(c) {
-				if len(gn.Bytes) > idna.MaxDomainLength {
-					return lint.Failf("name has %d octets", len(gn.Bytes))
+			for _, gns := range [2][]x509cert.GeneralName{c.SAN, c.IAN} {
+				for _, gn := range gns {
+					if gn.Kind == x509cert.GNDNSName && len(gn.Bytes) > idna.MaxDomainLength {
+						return lint.Failf("name has %d octets", len(gn.Bytes))
+					}
 				}
 			}
 			return lint.PassResult
@@ -162,7 +168,7 @@ func init() {
 		Source:        lint.SourceRFC1034,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateRFC3280,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return len(dnsNameGNs(c)) > 0 },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
 			return hyphenCheck(c, true)
 		},
@@ -174,7 +180,7 @@ func init() {
 		Source:        lint.SourceRFC1034,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateRFC3280,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return len(dnsNameGNs(c)) > 0 },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
 			return hyphenCheck(c, false)
 		},
@@ -186,7 +192,7 @@ func init() {
 		Source:        lint.SourceIDNA,
 		Taxonomy:      lint.T3IllegalFormat,
 		EffectiveDate: dateIDNA,
-		CheckApplies:  func(c *x509cert.Certificate) bool { return len(dnsNameGNs(c)) > 0 },
+		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
 			for _, labels := range c.DNSNameLabels() {
 				for _, l := range labels {
@@ -228,7 +234,7 @@ func init() {
 		EffectiveDate: dateRFC5280,
 		CheckApplies:  appliesToSubjectDN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, atv := range dnAttrs(c.Subject) {
+			for _, atv := range c.Subject.Attributes() {
 				if len(atv.Value.Bytes) == 0 {
 					return lint.Failf("%s is empty", x509cert.AttrName(atv.Type))
 				}

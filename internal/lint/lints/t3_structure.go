@@ -31,19 +31,20 @@ func init() {
 		Taxonomy:      lint.T3InvalidStructure,
 		EffectiveDate: dateCABF,
 		CheckApplies: func(c *x509cert.Certificate) bool {
-			return c.Subject.CommonName() != "" && hasSAN(c)
+			return c.CommonName() != "" && hasSAN(c)
 		},
 		Run: func(c *x509cert.Certificate) lint.Result {
-			cn := strings.ToLower(c.Subject.CommonName())
-			for _, gn := range c.SAN {
+			cn := strings.ToLower(c.CommonName())
+			texts := c.SANTexts()
+			for i, gn := range c.SAN {
 				switch gn.Kind {
 				case x509cert.GNDNSName, x509cert.GNRFC822Name, x509cert.GNURI, x509cert.GNIPAddress:
-					if strings.ToLower(gn.MustText()) == cn {
+					if strings.ToLower(texts[i]) == cn {
 						return lint.PassResult
 					}
 				}
 			}
-			return lint.Failf("CN %q not found among SAN values", c.Subject.CommonName())
+			return lint.Failf("CN %q not found among SAN values", c.CommonName())
 		},
 	})
 
@@ -95,10 +96,8 @@ func init() {
 		EffectiveDate: dateCABF,
 		CheckApplies:  hasSAN,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, gn := range c.SAN {
-				if gn.Kind == x509cert.GNURI {
-					return lint.Failf("SAN contains URI %q", gn.MustText())
-				}
+			if uris := c.URIs(); len(uris) > 0 {
+				return lint.Failf("SAN contains URI %q", uris[0])
 			}
 			return lint.PassResult
 		},

@@ -40,7 +40,7 @@ func ownerQuery(c *x509cert.Certificate) string {
 	if names := c.DNSNames(); len(names) > 0 {
 		return clean(names[0])
 	}
-	return clean(c.Subject.CommonName())
+	return clean(c.CommonName())
 }
 
 // ToleranceExperiment indexes each sampled certificate into a fresh

@@ -3,6 +3,7 @@ package strenc
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // EscapeStyle selects one of the distinguished-name string
@@ -42,7 +43,12 @@ const specials2253 = `,+"\<>;`
 
 // EscapeValue renders an attribute value for inclusion in a DN string
 // under the given style, escaping exactly what the standard requires.
+// A value that needs nothing escaped in any style is returned as is.
 func EscapeValue(style EscapeStyle, v string) string {
+	if v == "" || v[0] != ' ' && v[0] != '#' && v[len(v)-1] != ' ' &&
+		!strings.ContainsAny(v, specials2253+"=\x00") && utf8.ValidString(v) {
+		return v
+	}
 	var sb strings.Builder
 	sb.Grow(len(v))
 	for i, r := range v {

@@ -15,8 +15,6 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
-
-	"repro/internal/intern"
 )
 
 // Method identifies one of the decoding methods the paper's differential
@@ -107,55 +105,38 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("strenc: byte 0x%02X at offset %d is not valid %s", e.Byte, e.Offset, e.Method)
 }
 
-// decoded memoizes Decode outcomes. The measurement loop decodes the
-// same issuer DNs, organization names, and domains for every lint of
-// every certificate; Decode is pure in (method, handling, bytes), so
-// the steady state is a lock-free probe and zero allocations. The
-// table is fixed-size (8192 slots ≈ a few hundred KB worst case) and
-// never evicts; overflow simply decodes uncached. Values longer than
-// internMaxKey skip the cache so one large blob cannot occupy it.
-var decoded = intern.New[decodeResult](8192)
-
-const internMaxKey = 256
-
-type decodeResult struct {
-	s   string
-	err error
-}
-
 // Decode interprets b according to method m, applying handling h to
 // invalid sequences. Under Strict, the first invalid sequence aborts the
-// decode with a *DecodeError. Results for small inputs are memoized in
-// a bounded intern table, which is safe because decoding is pure.
+// decode with a *DecodeError.
 func Decode(m Method, h Handling, b []byte) (string, error) {
-	if len(b) > internMaxKey {
-		return decode(m, h, b)
+	var sb strings.Builder
+	sb.Grow(len(b))
+	if err := DecodeTo(&sb, m, h, b); err != nil {
+		return "", err
 	}
-	aux := uint32(m)<<8 | uint32(h)
-	if r, ok := decoded.Get(aux, b); ok {
-		return r.s, r.err
-	}
-	s, err := decode(m, h, b)
-	decoded.Put(aux, b, decodeResult{s: s, err: err})
-	return s, err
+	return sb.String(), nil
 }
 
-func decode(m Method, h Handling, b []byte) (string, error) {
+// DecodeTo is Decode appending to sb, so that many values can share one
+// allocation. On error sb keeps whatever was decoded before the invalid
+// sequence.
+func DecodeTo(sb *strings.Builder, m Method, h Handling, b []byte) error {
 	switch m {
 	case ASCII:
-		return decodeASCII(h, b)
+		return decodeASCII(sb, h, b)
 	case ISO88591:
-		return decodeLatin1(b), nil
+		decodeLatin1(sb, b)
+		return nil
 	case UTF8:
-		return decodeUTF8(h, b)
+		return decodeUTF8(sb, h, b)
 	case UCS2:
-		return decodeUCS2(h, b)
+		return decodeUCS2(sb, h, b)
 	case UTF16BE:
-		return decodeUTF16(h, b)
+		return decodeUTF16(sb, h, b)
 	case T61:
-		return decodeT61(h, b)
+		return decodeT61(sb, h, b)
 	default:
-		return "", fmt.Errorf("strenc: unknown method %d", int(m))
+		return fmt.Errorf("strenc: unknown method %d", int(m))
 	}
 }
 
@@ -168,49 +149,47 @@ func invalid(h Handling, sb *strings.Builder, m Method, off int, c byte) error {
 	case Replace:
 		sb.WriteRune(ReplacementChar)
 	case Escape:
-		fmt.Fprintf(sb, `\x%02X`, c)
+		// Written by hand, not with fmt, so that sb does not escape.
+		const hex = "0123456789ABCDEF"
+		sb.WriteString(`\x`)
+		sb.WriteByte(hex[c>>4])
+		sb.WriteByte(hex[c&0xF])
 	}
 	return nil
 }
 
-func decodeASCII(h Handling, b []byte) (string, error) {
-	var sb strings.Builder
-	sb.Grow(len(b))
+func decodeASCII(sb *strings.Builder, h Handling, b []byte) error {
 	for i, c := range b {
 		if c < 0x80 {
 			sb.WriteByte(c)
 			continue
 		}
-		if err := invalid(h, &sb, ASCII, i, c); err != nil {
-			return "", err
+		if err := invalid(h, sb, ASCII, i, c); err != nil {
+			return err
 		}
 	}
-	return sb.String(), nil
+	return nil
 }
 
-func decodeLatin1(b []byte) string {
+func decodeLatin1(sb *strings.Builder, b []byte) {
 	// Every byte is a defined ISO-8859-1 code point, so Latin-1 decoding
 	// never fails: this is exactly the over-tolerance the paper observes
 	// in libraries that fall back to it.
-	var sb strings.Builder
-	sb.Grow(len(b))
 	for _, c := range b {
 		sb.WriteRune(rune(c))
 	}
-	return sb.String()
 }
 
-func decodeUTF8(h Handling, b []byte) (string, error) {
+func decodeUTF8(sb *strings.Builder, h Handling, b []byte) error {
 	if utf8.Valid(b) {
-		return string(b), nil
+		sb.Write(b)
+		return nil
 	}
-	var sb strings.Builder
-	sb.Grow(len(b))
 	for i := 0; i < len(b); {
 		r, size := utf8.DecodeRune(b[i:])
 		if r == utf8.RuneError && size == 1 {
-			if err := invalid(h, &sb, UTF8, i, b[i]); err != nil {
-				return "", err
+			if err := invalid(h, sb, UTF8, i, b[i]); err != nil {
+				return err
 			}
 			i++
 			continue
@@ -218,37 +197,33 @@ func decodeUTF8(h Handling, b []byte) (string, error) {
 		sb.WriteRune(r)
 		i += size
 	}
-	return sb.String(), nil
+	return nil
 }
 
-func decodeUCS2(h Handling, b []byte) (string, error) {
-	var sb strings.Builder
-	sb.Grow(len(b) / 2)
+func decodeUCS2(sb *strings.Builder, h Handling, b []byte) error {
 	n := len(b) - len(b)%2
 	for i := 0; i < n; i += 2 {
 		u := rune(b[i])<<8 | rune(b[i+1])
 		if u >= 0xD800 && u <= 0xDFFF {
 			// UCS-2 has no surrogate mechanism: a surrogate code unit is
 			// an invalid character, not half of a pair.
-			if err := invalid(h, &sb, UCS2, i, b[i]); err != nil {
-				return "", err
+			if err := invalid(h, sb, UCS2, i, b[i]); err != nil {
+				return err
 			}
 			continue
 		}
 		sb.WriteRune(u)
 	}
 	if n < len(b) {
-		if err := invalid(h, &sb, UCS2, n, b[n]); err != nil {
-			return "", err
-		}
+		return invalid(h, sb, UCS2, n, b[n])
 	}
-	return sb.String(), nil
+	return nil
 }
 
-func decodeUTF16(h Handling, b []byte) (string, error) {
+func decodeUTF16(sb *strings.Builder, h Handling, b []byte) error {
 	if len(b)%2 != 0 {
 		if h == Strict {
-			return "", &DecodeError{Method: UTF16BE, Offset: len(b) - 1, Byte: b[len(b)-1]}
+			return &DecodeError{Method: UTF16BE, Offset: len(b) - 1, Byte: b[len(b)-1]}
 		}
 	}
 	units := make([]uint16, 0, len(b)/2)
@@ -262,31 +237,28 @@ func decodeUTF16(h Handling, b []byte) (string, error) {
 			switch {
 			case u >= 0xD800 && u < 0xDC00:
 				if i+1 >= len(units) || units[i+1] < 0xDC00 || units[i+1] > 0xDFFF {
-					return "", &DecodeError{Method: UTF16BE, Offset: i * 2, Byte: byte(u >> 8)}
+					return &DecodeError{Method: UTF16BE, Offset: i * 2, Byte: byte(u >> 8)}
 				}
 				i++
 			case u >= 0xDC00 && u <= 0xDFFF:
-				return "", &DecodeError{Method: UTF16BE, Offset: i * 2, Byte: byte(u >> 8)}
+				return &DecodeError{Method: UTF16BE, Offset: i * 2, Byte: byte(u >> 8)}
 			}
 		}
 	}
 	runes := utf16.Decode(units)
-	var sb strings.Builder
 	for i, r := range runes {
 		if r == ReplacementChar && h != Replace {
-			if err := invalid(h, &sb, UTF16BE, i*2, 0xD8); err != nil {
-				return "", err
+			if err := invalid(h, sb, UTF16BE, i*2, 0xD8); err != nil {
+				return err
 			}
 			continue
 		}
 		sb.WriteRune(r)
 	}
 	if len(b)%2 != 0 {
-		if err := invalid(h, &sb, UTF16BE, len(b)-1, b[len(b)-1]); err != nil {
-			return "", err
-		}
+		return invalid(h, sb, UTF16BE, len(b)-1, b[len(b)-1])
 	}
-	return sb.String(), nil
+	return nil
 }
 
 // decodeT61 implements the commonly deployed simplification of T.61: the
@@ -295,9 +267,7 @@ func decodeUTF16(h Handling, b []byte) (string, error) {
 // parsers (and the paper's subjects) treat TeletexString as Latin-1 or
 // ASCII; we keep combining-accent handling (0xC0–0xCF prefix bytes),
 // which is the one T.61 feature that changes observable output.
-func decodeT61(h Handling, b []byte) (string, error) {
-	var sb strings.Builder
-	sb.Grow(len(b))
+func decodeT61(sb *strings.Builder, h Handling, b []byte) error {
 	for i := 0; i < len(b); i++ {
 		c := b[i]
 		switch {
@@ -312,22 +282,22 @@ func decodeT61(h Handling, b []byte) (string, error) {
 				sb.WriteRune(r)
 			} else if base < 0x80 {
 				sb.WriteByte(base)
-			} else if err := invalid(h, &sb, T61, i, base); err != nil {
-				return "", err
+			} else if err := invalid(h, sb, T61, i, base); err != nil {
+				return err
 			}
 		case c >= 0xA0:
 			if r, ok := t61G1[c]; ok {
 				sb.WriteRune(r)
-			} else if err := invalid(h, &sb, T61, i, c); err != nil {
-				return "", err
+			} else if err := invalid(h, sb, T61, i, c); err != nil {
+				return err
 			}
 		default:
-			if err := invalid(h, &sb, T61, i, c); err != nil {
-				return "", err
+			if err := invalid(h, sb, T61, i, c); err != nil {
+				return err
 			}
 		}
 	}
-	return sb.String(), nil
+	return nil
 }
 
 // t61G1 maps the defined graphic bytes of the T.61 supplementary set.

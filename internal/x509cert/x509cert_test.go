@@ -167,7 +167,7 @@ func TestDuplicateCNFirstVsLast(t *testing.T) {
 	if c.Subject.Last(OIDCommonName) != "last.com" {
 		t.Error("Last broken")
 	}
-	if n := len(c.Subject.Values(OIDCommonName)); n != 2 {
+	if n := c.Subject.Count(OIDCommonName); n != 2 {
 		t.Errorf("values %d", n)
 	}
 }
