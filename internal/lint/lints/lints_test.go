@@ -112,7 +112,7 @@ func runOne(t *testing.T, name string, c *x509cert.Certificate) lint.Status {
 	}
 	res := lint.Global.Run(c, lint.Options{Only: map[string]bool{name: true}})
 	for _, f := range res.Findings {
-		if f.Lint == l {
+		if res.Lint(f) == l {
 			return f.Status
 		}
 	}
@@ -303,7 +303,7 @@ func TestEffectiveDateGating(t *testing.T) {
 	l, _ := lint.Global.ByName(name)
 	res := lint.Global.Run(c, lint.Options{IgnoreEffectiveDates: true, Only: map[string]bool{name: true}})
 	for _, f := range res.Findings {
-		if f.Lint == l && f.Status != lint.Fail {
+		if res.Lint(f) == l && f.Status != lint.Fail {
 			t.Errorf("dates ignored: %s", f.Status)
 		}
 	}

@@ -251,11 +251,11 @@ func TestAllTriggersFire(t *testing.T) {
 			}
 			res := lint.Global.Run(c, lint.Options{Only: map[string]bool{name: true}})
 			for _, f := range res.Findings {
-				if f.Lint.Name != name {
+				if res.Lint(f).Name != name {
 					continue
 				}
 				if f.Status != lint.Fail {
-					t.Fatalf("status %s (details %q)", f.Status, f.Details)
+					t.Fatalf("status %s (details %q)", f.Status, res.Details(f))
 				}
 				return
 			}

@@ -367,9 +367,9 @@ func TestMeasureStreamEquivalence(t *testing.T) {
 		lint   string
 		status lint.Status
 	}
-	aggregate := func(findings []lint.Finding, into map[key]int) {
-		for _, f := range findings {
-			into[key{f.Lint.Name, f.Status}]++
+	aggregate := func(res *lint.CertResult, into map[key]int) {
+		for _, f := range res.Findings {
+			into[key{res.Lint(f).Name, f.Status}]++
 		}
 	}
 	derSum := func(der []byte) uint64 {
@@ -386,7 +386,7 @@ func TestMeasureStreamEquivalence(t *testing.T) {
 	}
 	refCounts := map[key]int{}
 	for _, r := range ref.Measurement.Results {
-		aggregate(r.Findings, refCounts)
+		aggregate(r, refCounts)
 	}
 	var refDER uint64
 	for _, e := range ref.Measurement.Corpus.Entries {
@@ -408,7 +408,7 @@ func TestMeasureStreamEquivalence(t *testing.T) {
 					if results[i] == nil {
 						return fmt.Errorf("slot %d entry %d: unexpected quarantine", slot, i)
 					}
-					aggregate(results[i].Findings, gotCounts)
+					aggregate(results[i], gotCounts)
 				}
 				return nil
 			})
