@@ -81,18 +81,28 @@ func (a *Arena) newChildren(n int) []*Value {
 }
 
 // Reset invalidates every node handed out so far and makes the arena's
-// slabs available for reuse. Used slabs are zeroed here — this both
+// slabs available for reuse. What was carved is zeroed here — this both
 // restores the invariant that carved nodes start zero (newValue relies
 // on it) and unpins the previous parse's input DER from the garbage
-// collector's perspective.
+// collector's perspective. Only what was carved: a certificate fills
+// about half a slab, and the memory is pointerful, so clearing the rest
+// would cost bulk write barriers while the collector marks.
 func (a *Arena) Reset() {
-	for i := 0; i <= a.vSlab && i < len(a.valueSlabs); i++ {
-		clear(a.valueSlabs[i])
-	}
-	for i := 0; i <= a.pSlab && i < len(a.ptrSlabs); i++ {
-		clear(a.ptrSlabs[i])
-	}
+	clearCarved(a.valueSlabs, a.vSlab, a.vUsed)
+	clearCarved(a.ptrSlabs, a.pSlab, a.pUsed)
 	a.vSlab, a.vUsed, a.pSlab, a.pUsed = 0, 0, 0, 0
+}
+
+// clearCarved zeroes every slab before cur and the first used cells of
+// slab cur; the cells past them were never handed out and are still
+// zero.
+func clearCarved[T any](slabs [][]T, cur, used int) {
+	for i := 0; i < cur && i < len(slabs); i++ {
+		clear(slabs[i])
+	}
+	if cur < len(slabs) {
+		clear(slabs[cur][:used])
+	}
 }
 
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
