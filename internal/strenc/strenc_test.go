@@ -1,6 +1,7 @@
 package strenc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
@@ -136,6 +137,39 @@ func TestDecodeUTF16SurrogatePair(t *testing.T) {
 	}
 	if s != "\U0001F600" {
 		t.Fatalf("got %q", s)
+	}
+}
+
+// TestDecodeToBoundedAndAllocFree checks that every method decodes
+// straight into the builder: the output fits MaxDecodedLen under Replace
+// and Truncate, and DecodeTo allocates nothing once that room is
+// reserved (UTF-16 used to build a unit and a rune slice per value).
+func TestDecodeToBoundedAndAllocFree(t *testing.T) {
+	inputs := map[Method][]byte{
+		ASCII:    []byte("plain \x80\xFF"),
+		ISO88591: []byte("Caf\xE9 \xFF"),
+		UTF8:     []byte("ü 認 \xFF\xC3"),
+		UCS2:     {0x8A, 0x8D, 0x00, 'A', 0xD8, 0x00, 0x01},
+		UTF16BE:  {0xD8, 0x3D, 0xDE, 0x00, 0x8A, 0x8D, 0xDC, 0x00, 0xD8, 0x00, 0xFF, 0xFD, 0x01},
+		T61:      []byte("M\xC8unchen \xE9t\xA3\x85\xC1"),
+	}
+	for m, in := range inputs {
+		for _, h := range []Handling{Replace, Truncate} {
+			bound := MaxDecodedLen(m, in)
+			var out string
+			n := testing.AllocsPerRun(50, func() {
+				var sb strings.Builder
+				sb.Grow(bound)
+				_ = DecodeTo(&sb, m, h, in)
+				out = sb.String()
+			})
+			if len(out) > bound {
+				t.Errorf("%s/%s: decoded %d bytes, bound %d", m, h, len(out), bound)
+			}
+			if n > 1 {
+				t.Errorf("%s/%s: %v allocations, want only the builder's", m, h, n)
+			}
+		}
 	}
 }
 

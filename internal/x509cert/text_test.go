@@ -140,17 +140,20 @@ func TestTextViewMatchesDecode(t *testing.T) {
 
 // TestAllocBudgetTextView pins the view's layout through its cost: the
 // combined attribute list, the subject-side string, the issuer string
-// and one slice of string headers, however many values there are.
-// (Text that decodes longer than its bytes, such as BMP or T.61, may
-// regrow a builder.)
+// and one slice of string headers, however many values there are, and
+// whatever they decode from: textViewTemplate's BMP, T.61, Latin-1,
+// UTF-16 and invalid bytes cost what UTF-8 does.
 func TestAllocBudgetTextView(t *testing.T) {
 	tpl := baseTemplate()
 	tpl.Subject = append(tpl.Subject, RDN{TextATV(OIDOrganizationName, "Ünïcode Org")}, RDN{TextATV(OIDLocalityName, "Zürich")})
 	tpl.SAN = append(tpl.SAN, RFC822Name("ops@test.com"), URIName("https://test.com"))
 	tpl.IAN = []GeneralName{DNSName("ca.test.com")}
-	c := buildLeaf(t, tpl)
-	allocGuard(t, 4, func() {
-		c.text = text{}
-		_ = c.AttributeTexts()
-	})
+	for name, c := range map[string]*Certificate{"utf8": buildLeaf(t, tpl), "all shapes": buildLeaf(t, textViewTemplate())} {
+		t.Run(name, func(t *testing.T) {
+			allocGuard(t, 4, func() {
+				c.text = text{}
+				_ = c.AttributeTexts()
+			})
+		})
+	}
 }
