@@ -11,7 +11,7 @@ RACE_PKGS := ./internal/ctlog/... ./internal/monitor/... ./internal/faultinject/
 # Address the smoke-metrics crawl serves its /metrics endpoint on.
 SMOKE_METRICS_ADDR ?= 127.0.0.1:19321
 
-.PHONY: build vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet
+.PHONY: build vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet loc
 build:
 	$(GO) build ./...
 
@@ -32,6 +32,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProofVerification' -fuzztime $(FUZZ_TIME) ./internal/ctlog
 
 check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
+
+# loc prints the non-test Go line count outside bench/, the size the
+# roadmap tracks from round to round.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # bench runs the end-to-end benchmark harness that BENCHMARK.json
 # names (see bench/README.md for its workloads and metrics).

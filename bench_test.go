@@ -23,12 +23,12 @@ import (
 	"repro/internal/asn1der"
 	"repro/internal/browser"
 	"repro/internal/certgen"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ctlog"
 	"repro/internal/difftest"
 	"repro/internal/hostverify"
 	"repro/internal/lint"
+	_ "repro/internal/lint/lints" // register the 95 Unicert lints
 	"repro/internal/middlebox"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -51,23 +51,21 @@ var (
 	benchOnce sync.Once
 	benchM    *corpus.Measurement
 	benchMAll *corpus.Measurement // effective dates ignored
-	benchA    *core.Analyzer
 )
 
-func sharedMeasurement(b *testing.B) (*core.Analyzer, *corpus.Measurement) {
-	b.Helper()
+func sharedMeasurement(tb testing.TB) *corpus.Measurement {
+	tb.Helper()
 	benchOnce.Do(func() {
-		benchA = core.NewAnalyzer()
 		cfg := corpus.DefaultConfig()
 		cfg.Size = benchCorpusSize
 		c, err := corpus.Generate(cfg)
 		if err != nil {
 			panic(err)
 		}
-		benchM = corpus.RunLinter(c, benchA.Registry, lint.Options{})
-		benchMAll = corpus.RunLinter(c, benchA.Registry, lint.Options{IgnoreEffectiveDates: true})
+		benchM = corpus.RunLinter(c, lint.Global, lint.Options{})
+		benchMAll = corpus.RunLinter(c, lint.Global, lint.Options{IgnoreEffectiveDates: true})
 	})
-	return benchA, benchM
+	return benchM
 }
 
 var printOnce sync.Map
@@ -81,11 +79,11 @@ func printTable(name, table string) {
 // ——— E1: Table 1 ———
 
 func BenchmarkTable1Taxonomy(b *testing.B) {
-	a, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var rows []corpus.TaxonomyRow
 	for i := 0; i < b.N; i++ {
-		rows = m.Table1(a.Registry)
+		rows = m.Table1(lint.Global)
 	}
 	b.StopTimer()
 	printTable("Table 1 (noncompliance taxonomy)", report.Table1(rows, m.NCCount()))
@@ -94,7 +92,7 @@ func BenchmarkTable1Taxonomy(b *testing.B) {
 // ——— E2: Table 2 ———
 
 func BenchmarkTable2Issuers(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var rows []corpus.IssuerRow
 	for i := 0; i < b.N; i++ {
@@ -107,7 +105,7 @@ func BenchmarkTable2Issuers(b *testing.B) {
 // ——— E3: Table 3 ———
 
 func BenchmarkTable3Variants(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var counts map[corpus.VariantStrategy]int
 	for i := 0; i < b.N; i++ {
@@ -128,12 +126,16 @@ var (
 func sharedLibraryAnalysis(b *testing.B) ([]difftest.DecodeFinding, []difftest.CharFinding) {
 	b.Helper()
 	diffOnce.Do(func() {
-		a := core.NewAnalyzer()
-		t4, t5, err := a.LibraryAnalysis()
+		h, err := difftest.NewHarness(2025)
 		if err != nil {
 			panic(err)
 		}
-		diffT4, diffT5 = t4, t5
+		if diffT4, err = h.Table4(); err != nil {
+			panic(err)
+		}
+		if diffT5, err = h.Table5(); err != nil {
+			panic(err)
+		}
 	})
 	return diffT4, diffT5
 }
@@ -211,7 +213,7 @@ func BenchmarkTable6Monitors(b *testing.B) {
 // ——— E7: Table 11 ———
 
 func BenchmarkTable11TopLints(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var rows []corpus.LintRow
 	for i := 0; i < b.N; i++ {
@@ -253,7 +255,7 @@ func BenchmarkTable14Browsers(b *testing.B) {
 // ——— E9–E11: Figures 2–4 ———
 
 func BenchmarkFigure2Trend(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var rows []corpus.YearRow
 	for i := 0; i < b.N; i++ {
@@ -264,7 +266,7 @@ func BenchmarkFigure2Trend(b *testing.B) {
 }
 
 func BenchmarkFigure3ValidityCDF(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var series map[string][]int
 	for i := 0; i < b.N; i++ {
@@ -279,7 +281,7 @@ func BenchmarkFigure3ValidityCDF(b *testing.B) {
 }
 
 func BenchmarkFigure4FieldMatrix(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	b.ResetTimer()
 	var matrix map[string]map[string]corpus.FieldCell
 	for i := 0; i < b.N; i++ {
@@ -292,7 +294,7 @@ func BenchmarkFigure4FieldMatrix(b *testing.B) {
 // ——— E12: §5.1 encoding-error impact (chain rebuild + verify) ———
 
 func BenchmarkEncodingErrorImpact(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	// Collect the encoding-error subset (cf. the paper's 7,415 certs).
 	var subset []*corpus.Entry
 	for i, e := range m.Corpus.Entries {
@@ -412,7 +414,6 @@ func benchE2ESize(b *testing.B) int {
 }
 
 func benchMeasureE2E(b *testing.B, workers int) {
-	a := core.NewAnalyzer()
 	reg := obs.NewRegistry()
 	cfg := corpus.DefaultConfig()
 	cfg.Size = benchE2ESize(b)
@@ -420,7 +421,7 @@ func benchMeasureE2E(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := a.MeasureCorpusPipeline(context.Background(), cfg, lint.Options{},
+		res, err := pipeline.Measure(context.Background(), cfg, lint.Global, lint.Options{},
 			pipeline.Config{Workers: workers, Obs: reg})
 		if err != nil {
 			b.Fatal(err)
@@ -499,12 +500,11 @@ func BenchmarkPipelineGenerateOnly(b *testing.B) {
 // BenchmarkPipelineLintOnly isolates the lint stage over a
 // pre-generated corpus.
 func BenchmarkPipelineLintOnly(b *testing.B) {
-	a, m := sharedMeasurement(b)
-	c := m.Corpus
+	c := sharedMeasurement(b).Corpus
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = corpus.RunLinter(c, a.Registry, lint.Options{})
+		_ = corpus.RunLinter(c, lint.Global, lint.Options{})
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*len(c.Entries))/secs, "certs/s")
@@ -549,18 +549,19 @@ func BenchmarkPipelineLintDERs(b *testing.B) {
 // ——— Throughput benchmarks for the core pipeline ———
 
 func BenchmarkLintSingleCertificate(b *testing.B) {
-	a, m := sharedMeasurement(b)
-	der := m.Corpus.Entries[0].DER
+	der := sharedMeasurement(b).Corpus.Entries[0].DER
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.LintDER(der, lint.Options{}); err != nil {
+		cert, err := x509cert.ParseWithMode(der, x509cert.ParseLenient)
+		if err != nil {
 			b.Fatal(err)
 		}
+		lint.Global.Run(cert, lint.Options{})
 	}
 }
 
 func BenchmarkParseCertificate(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	der := m.Corpus.Entries[0].DER
 	b.SetBytes(int64(len(der)))
 	b.ResetTimer()
@@ -632,7 +633,7 @@ func BenchmarkMerkleInclusionProof(b *testing.B) {
 // ——— Ablation benchmarks (DESIGN.md design choices) ———
 
 func BenchmarkAblationEffectiveDates(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	gated := m.NCCount()
 	ungated := benchMAll.NCCount()
 	b.ResetTimer()
@@ -648,7 +649,7 @@ func BenchmarkAblationEffectiveDates(b *testing.B) {
 func BenchmarkAblationStrictDER(b *testing.B) {
 	// Lenient BER parsing accepts non-minimal lengths strict DER
 	// rejects; measure both paths on a BER-ish certificate.
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	der := m.Corpus.Entries[0].DER
 	b.Run("strict", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -681,7 +682,7 @@ func BenchmarkAblationNFCQuickCheck(b *testing.B) {
 }
 
 func BenchmarkAblationPrecertFilter(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	log, err := ctlog.NewLog(77)
 	if err != nil {
 		b.Fatal(err)
@@ -715,18 +716,7 @@ func maxInt(a, b int) int {
 
 // Guard: the shared corpus reproduces the paper's headline number.
 func TestBenchCorpusShape(t *testing.T) {
-	benchOnce.Do(func() {
-		benchA = core.NewAnalyzer()
-		cfg := corpus.DefaultConfig()
-		cfg.Size = benchCorpusSize
-		c, err := corpus.Generate(cfg)
-		if err != nil {
-			panic(err)
-		}
-		benchM = corpus.RunLinter(c, benchA.Registry, lint.Options{})
-		benchMAll = corpus.RunLinter(c, benchA.Registry, lint.Options{IgnoreEffectiveDates: true})
-	})
-	nc := benchM.NCCount()
+	nc := sharedMeasurement(t).NCCount()
 	total := len(benchM.Corpus.Entries)
 	rate := float64(nc) / float64(total)
 	if rate < 0.002 || rate > 0.025 {
@@ -742,7 +732,7 @@ func TestBenchCorpusShape(t *testing.T) {
 // ——— Appendix F.2: monitor tolerance over sampled NC Unicerts ———
 
 func BenchmarkMonitorTolerance(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	var sample []*x509cert.Certificate
 	for i, e := range m.Corpus.Entries {
 		if m.Noncompliant(i) {
@@ -869,7 +859,7 @@ func BenchmarkAblationHostVerifyPolicy(b *testing.B) {
 // ——— TLS wire observation throughput ———
 
 func BenchmarkTLSWireObserve(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	chain := [][]byte{m.Corpus.Entries[0].DER}
 	ch := &tlswire.ClientHello{ServerName: "observed.example"}
 	var wire bytes.Buffer
@@ -896,7 +886,7 @@ func BenchmarkTLSWireObserve(b *testing.B) {
 // ——— §5.1 impact (3): parse failures over the NC corpus ———
 
 func BenchmarkParseFailureImpact(b *testing.B) {
-	_, m := sharedMeasurement(b)
+	m := sharedMeasurement(b)
 	var ncDER [][]byte
 	for i, e := range m.Corpus.Entries {
 		if m.Noncompliant(i) {

@@ -21,9 +21,9 @@ import (
 	"net"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/lint"
+	_ "repro/internal/lint/lints" // register the 95 Unicert lints
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/report"
@@ -46,9 +46,8 @@ func main() {
 	ctx, stop := serve.SignalContext(context.Background())
 	defer stop()
 
-	a := core.NewAnalyzer()
 	reg := obs.NewRegistry()
-	a.Registry.EnableMetrics(reg)
+	lint.Global.EnableMetrics(reg)
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
@@ -72,7 +71,7 @@ func main() {
 	cfg := corpus.DefaultConfig()
 	cfg.Size = *size
 	cfg.Seed = *seed
-	res, err := a.MeasureCorpusPipeline(ctx, cfg,
+	res, err := pipeline.Measure(ctx, cfg, lint.Global,
 		lint.Options{IgnoreEffectiveDates: *allDates},
 		pipeline.Config{Workers: *workers, Obs: reg})
 	if err != nil {
@@ -88,7 +87,7 @@ func main() {
 		total, len(m.Corpus.Precerts), nc, report.Percent(nc, total))
 
 	if all || *table == 1 {
-		fmt.Println(report.Table1(m.Table1(a.Registry), nc))
+		fmt.Println(report.Table1(m.Table1(lint.Global), nc))
 	}
 	if all || *table == 2 {
 		fmt.Println(report.Table2(m.Table2(10)))

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/report"
 )
 
@@ -20,12 +20,17 @@ func main() {
 	seed := flag.Int64("seed", 11, "harness seed")
 	flag.Parse()
 
-	a := core.NewAnalyzer()
-	a.Seed = *seed
-	t4, t5, err := a.LibraryAnalysis()
+	h, err := difftest.NewHarness(*seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "libtest: %v\n", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	t4, err := h.Table4()
+	if err != nil {
+		fatal(err)
+	}
+	t5, err := h.Table5()
+	if err != nil {
+		fatal(err)
 	}
 	if *table == 0 || *table == 4 {
 		fmt.Println(report.Table4(t4))
@@ -33,4 +38,9 @@ func main() {
 	if *table == 0 || *table == 5 {
 		fmt.Println(report.Table5(t5))
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "libtest: %v\n", err)
+	os.Exit(1)
 }

@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"repro/internal/browser"
-	"repro/internal/core"
 	"repro/internal/middlebox"
+	"repro/internal/monitor"
 	"repro/internal/report"
 	"repro/internal/x509cert"
 )
@@ -25,12 +25,11 @@ func main() {
 	scenario := flag.String("scenario", "", "monitors, middlebox, or browsers; empty = all")
 	flag.Parse()
 
-	a := core.NewAnalyzer()
 	run := func(name string) bool { return *scenario == "" || *scenario == name }
 
 	if run("monitors") {
 		forged := buildCert("victim.example\x00.attacker.site")
-		results := a.MonitorExperiment(forged, "victim.example")
+		results := monitor.MisleadExperiment(forged, "victim.example")
 		fmt.Println(report.Table6(results))
 		fmt.Println("Threat: a forged certificate whose indexed fields embed NUL evades the")
 		fmt.Println("monitors marked concealed=yes when the owner queries their domain.")
@@ -69,7 +68,7 @@ func main() {
 
 	if run("browsers") {
 		fmt.Println("User spoofing (Appendix F.1):")
-		findings := a.SpoofExperiment("www.‮lapyap‬.com", "www.paypal.com")
+		findings := browser.SpoofExperiment("www.‮lapyap‬.com", "www.paypal.com")
 		var rows [][]string
 		for _, f := range findings {
 			rows = append(rows, []string{f.Engine.String(), fmt.Sprintf("%q", f.Rendered), fmt.Sprintf("%v", f.Deceptive)})

@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"repro/internal/asn1der"
-	"repro/internal/core"
 	"repro/internal/lint"
+	_ "repro/internal/lint/lints" // register the 95 Unicert lints
 	"repro/internal/pipeline"
 	"repro/internal/x509cert"
 )
@@ -33,9 +33,8 @@ func main() {
 	workers := flag.Int("workers", 0, "lint workers for multi-certificate inputs (0 = NumCPU)")
 	flag.Parse()
 
-	a := core.NewAnalyzer()
 	if *listLints {
-		for _, l := range a.Registry.All() {
+		for _, l := range lint.Global.All() {
 			marker := " "
 			if l.New {
 				marker = "N"
@@ -76,7 +75,7 @@ func main() {
 		Details     string `json:"details"`
 	}
 	var jsonFindings []jsonFinding
-	results, err := pipeline.LintDERs(context.Background(), inputs, a.Registry, opts, pipeline.Config{Workers: *workers})
+	results, err := pipeline.LintDERs(context.Background(), inputs, lint.Global, opts, pipeline.Config{Workers: *workers})
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -9,10 +9,10 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ctlog"
 	"repro/internal/lint"
+	_ "repro/internal/lint/lints" // register the 95 Unicert lints
 	"repro/internal/report"
 )
 
@@ -60,10 +60,9 @@ func main() {
 	fmt.Printf("precert filter: %d of %d entries remain\n\n", len(regular), sth.Size)
 
 	// Lint the population and print the headline tables.
-	a := core.NewAnalyzer()
-	m := corpus.RunLinter(c, a.Registry, lint.Options{})
+	m := corpus.RunLinter(c, lint.Global, lint.Options{})
 	nc := m.NCCount()
 	fmt.Printf("noncompliant: %d of %d (%s)\n\n", nc, len(c.Entries), report.Percent(nc, len(c.Entries)))
-	fmt.Println(report.Table1(m.Table1(a.Registry), nc))
+	fmt.Println(report.Table1(m.Table1(lint.Global), nc))
 	fmt.Println(report.Table2(m.Table2(10)))
 }

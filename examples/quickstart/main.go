@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/asn1der"
-	"repro/internal/core"
 	"repro/internal/lint"
+	_ "repro/internal/lint/lints" // register the 95 Unicert lints
 	"repro/internal/strenc"
 	"repro/internal/x509cert"
 )
@@ -52,19 +52,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Lint it.
-	analyzer := core.NewAnalyzer()
-	res, err := analyzer.LintDER(der, lint.Options{})
+	// 3. Parse it the way a linter must (leniently) and lint it.
+	cert, err := x509cert.ParseWithMode(der, x509cert.ParseLenient)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := lint.Global.Run(cert, lint.Options{})
 	fmt.Printf("certificate is noncompliant: %v\n", res.Noncompliant())
 	for _, f := range res.Failed() {
 		fmt.Printf("  [%s/%s] %s: %s\n", f.Lint.Taxonomy.Group(), f.Lint.Severity, f.Lint.Name, f.Details)
 	}
 
 	// 4. Show why the SAN is dangerous: its U-label form.
-	cert, _ := x509cert.Parse(der)
 	for _, name := range cert.DNSNames() {
 		fmt.Printf("SAN %q — syntactically valid Punycode, deceptive after conversion\n", name)
 	}

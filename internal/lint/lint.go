@@ -351,26 +351,6 @@ func (cr *CertResult) Failed() []Failure {
 // Noncompliant reports whether any lint failed.
 func (cr *CertResult) Noncompliant() bool { return cr.failed > 0 }
 
-// HasError reports whether any error-severity lint failed.
-func (cr *CertResult) HasError() bool {
-	return slices.ContainsFunc(cr.Failed(), func(f Failure) bool { return f.Lint.Severity == Error })
-}
-
-// HasWarning reports whether any warning-severity lint failed.
-func (cr *CertResult) HasWarning() bool {
-	return slices.ContainsFunc(cr.Failed(), func(f Failure) bool { return f.Lint.Severity == Warning })
-}
-
-// Taxonomies returns the set of noncompliance classes the certificate
-// falls into.
-func (cr *CertResult) Taxonomies() map[Taxonomy]bool {
-	out := make(map[Taxonomy]bool)
-	for _, f := range cr.Failed() {
-		out[f.Lint.Taxonomy] = true
-	}
-	return out
-}
-
 // detailChunks hold the details of many results, so a result's details
 // cost it no allocation of its own. A Run's first detail makes sure its
 // chunk has room for one from every lint left; a chunk lives as long as

@@ -96,11 +96,9 @@ func TestCertResultSeverityViews(t *testing.T) {
 	r.Register(&Lint{Name: "w_y", Severity: Warning, Run: func(*x509cert.Certificate) Result { return Failf("y") }})
 	r.Register(&Lint{Name: "w_z", Severity: Warning, Run: func(*x509cert.Certificate) Result { return PassResult }})
 	res := r.Run(&x509cert.Certificate{NotBefore: time.Now()}, Options{})
-	if !res.HasError() || !res.HasWarning() {
-		t.Fatal("severity views broken")
-	}
-	if len(res.Failed()) != 2 {
-		t.Fatalf("failed %d", len(res.Failed()))
+	failed := res.Failed()
+	if len(failed) != 2 || failed[0].Lint.Severity != Error || failed[1].Lint.Severity != Warning {
+		t.Fatalf("failed %+v, want e_x (error) then w_y (warning)", failed)
 	}
 }
 

@@ -323,11 +323,39 @@ func TestCertResultAggregation(t *testing.T) {
 		tpl.Subject = x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDOrganizationName, "Bad\x00Org"))
 	})
 	res := lint.Global.Run(c, lint.Options{})
-	if !res.Noncompliant() || !res.HasError() {
+	var hasError, hasT1 bool
+	for _, f := range res.Failed() {
+		hasError = hasError || f.Lint.Severity == lint.Error
+		hasT1 = hasT1 || f.Lint.Taxonomy == lint.T1InvalidCharacter
+	}
+	if !res.Noncompliant() || !hasError {
 		t.Fatal("NUL-bearing certificate must be noncompliant with errors")
 	}
-	if !res.Taxonomies()[lint.T1InvalidCharacter] {
+	if !hasT1 {
 		t.Fatal("taxonomy must include T1")
+	}
+}
+
+// TestGlobalLintDERAndPEM lints raw DER and a PEM bundle the way the
+// command-line tools do: lenient parse, then the global registry.
+func TestGlobalLintDERAndPEM(t *testing.T) {
+	c := buildCert(t, func(tpl *x509cert.Template) {
+		tpl.Subject = x509cert.SimpleDN(x509cert.TextATV(x509cert.OIDOrganizationName, "Bad\x00Org"))
+	})
+	lintDER := func(der []byte) *lint.CertResult {
+		t.Helper()
+		cert, err := x509cert.ParseWithMode(der, x509cert.ParseLenient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lint.Global.Run(cert, lint.Options{})
+	}
+	if !lintDER(c.Raw).Noncompliant() {
+		t.Fatal("NUL-bearing certificate must be noncompliant")
+	}
+	ders, err := x509cert.DecodePEM(x509cert.EncodePEM(c.Raw))
+	if err != nil || len(ders) != 1 || !lintDER(ders[0]).Noncompliant() {
+		t.Fatalf("PEM lint: %d certificates, %v", len(ders), err)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,18 +42,9 @@ type Config struct {
 	// Workers is the number of fused generate→lint workers; 0 or
 	// negative means runtime.NumCPU().
 	Workers int
-	// Queue bounds the slot-index feed queue; 0 means 4× workers. A
-	// bounded queue keeps the feeder from racing ahead of slow workers
-	// without idling fast ones.
-	Queue int
 	// Obs receives the pipeline instruments. Nil means a private
 	// throwaway registry: Stats still works, nothing is exposed.
 	Obs *obs.Registry
-	// Progress, when non-nil, receives a Stats snapshot every
-	// ProgressEvery (default 1s) while Measure runs — the hook for
-	// observability layers.
-	Progress      func(Stats)
-	ProgressEvery time.Duration
 	// Journal, when non-nil, receives a pipeline.quarantine event for
 	// every generate/lint panic contained to one item.
 	Journal *obs.Journal
@@ -68,13 +60,6 @@ func (c Config) workers() int {
 	return runtime.NumCPU()
 }
 
-func (c Config) queue(workers int) int {
-	if c.Queue > 0 {
-		return c.Queue
-	}
-	return 4 * workers
-}
-
 // metrics holds the run's obs instrument handles, resolved once so the
 // worker loop pays only atomic ops. Counters are registry-lifetime
 // (scrapes see totals across runs); the gen0/lint0 baselines make
@@ -84,7 +69,6 @@ type metrics struct {
 	linted      *obs.Counter   // pipeline_linted_total
 	quarantined *obs.Counter   // pipeline_quarantined_total
 	inFlight    *obs.Gauge     // pipeline_in_flight
-	queueDepth  *obs.Gauge     // pipeline_queue_depth
 	certsPerSec *obs.Gauge     // pipeline_certs_per_sec
 	genSeconds  *obs.Histogram // pipeline_slot_generate_seconds
 	lintSeconds *obs.Histogram // pipeline_slot_lint_seconds
@@ -106,7 +90,6 @@ func newMetrics(pc Config) *metrics {
 	reg.Help("pipeline_linted_total", "Certificates linted.")
 	reg.Help("pipeline_quarantined_total", "Generate/lint panics contained to one item instead of killing the run.")
 	reg.Help("pipeline_in_flight", "Slots currently inside a worker.")
-	reg.Help("pipeline_queue_depth", "Slot indices waiting in the bounded feed queue.")
 	reg.Help("pipeline_certs_per_sec", "Linted certificates per second of wall clock, this run.")
 	reg.Help("pipeline_slot_generate_seconds", "Per-slot generate (build+sign+parse) latency.")
 	reg.Help("pipeline_slot_lint_seconds", "Per-slot lint latency.")
@@ -115,7 +98,6 @@ func newMetrics(pc Config) *metrics {
 		linted:      reg.Counter("pipeline_linted_total"),
 		quarantined: reg.Counter("pipeline_quarantined_total"),
 		inFlight:    reg.Gauge("pipeline_in_flight"),
-		queueDepth:  reg.Gauge("pipeline_queue_depth"),
 		certsPerSec: reg.Gauge("pipeline_certs_per_sec"),
 		genSeconds:  reg.Histogram("pipeline_slot_generate_seconds", nil),
 		lintSeconds: reg.Histogram("pipeline_slot_lint_seconds", nil),
@@ -150,12 +132,11 @@ type Stats struct {
 	Linted      uint64 // certificates linted
 	Quarantined uint64 // generate/lint panics contained per item
 	InFlight    int64  // slots being processed right now
-	QueueDepth  int    // slot indices waiting in the bounded queue
 	Elapsed     time.Duration
 	CertsPerSec float64 // linted certificates per second of wall clock
 }
 
-func (m *metrics) snapshot(workers, queueDepth int) Stats {
+func (m *metrics) snapshot(workers int) Stats {
 	elapsed := time.Since(m.start)
 	s := Stats{
 		Workers:     workers,
@@ -163,14 +144,12 @@ func (m *metrics) snapshot(workers, queueDepth int) Stats {
 		Linted:      m.linted.Value() - m.lint0,
 		Quarantined: m.quarantined.Value() - m.quar0,
 		InFlight:    int64(m.inFlight.Value()),
-		QueueDepth:  queueDepth,
 		Elapsed:     elapsed,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		s.CertsPerSec = float64(s.Linted) / secs
 	}
-	// Mirror the derived values into gauges so a scrape sees them too.
-	m.queueDepth.Set(float64(queueDepth))
+	// Mirror the derived rate into its gauge so a scrape sees it too.
 	m.certsPerSec.Set(s.CertsPerSec)
 	return s
 }
@@ -214,16 +193,62 @@ func safeGenerateSlot(gen *corpus.Generator, i int) (s *corpus.Slot, err error, 
 }
 
 // runLintSafe lints one certificate, converting a panicking lint into
-// an empty result plus a false ok. The happy path adds nothing: same
+// a nil result plus an error. The happy path adds nothing: same
 // registry Run, one open-coded defer.
 func runLintSafe(reg *lint.Registry, c *x509cert.Certificate, opts lint.Options) (res *lint.CertResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = &lint.CertResult{}
 			err = fmt.Errorf("pipeline: lint panicked: %v", r)
 		}
 	}()
 	return reg.Run(c, opts), nil
+}
+
+// slotRun is what Measure and MeasureStream share: the generator, the
+// registry and the run's instruments.
+type slotRun struct {
+	gen  *corpus.Generator
+	reg  *lint.Registry
+	opts lint.Options
+	ctr  *metrics
+}
+
+// slot generates slot i and lints its entries into results, reusing its
+// room. A generate or lint panic is contained to its item: it is
+// accounted and listed in the returned quarantines with its slot-local
+// index. A panicking lint leaves a nil result; a panicking generator
+// leaves no slot at all (Index -1). A clean generator error is a
+// configuration problem and is returned instead.
+func (r *slotRun) slot(i int, results []*lint.CertResult) (*corpus.Slot, []*lint.CertResult, []Quarantine, error) {
+	tGen := time.Now()
+	s, err, panicked := safeGenerateSlot(r.gen, i)
+	if err != nil {
+		if !panicked {
+			return nil, nil, nil, err
+		}
+		r.ctr.quarantine(i, -1, "generate")
+		return nil, nil, []Quarantine{{Slot: i, Index: -1, Stage: "generate", Err: err}}, nil
+	}
+	r.ctr.genSeconds.Observe(time.Since(tGen).Seconds())
+	n := len(s.Entries)
+	if s.Precert != nil {
+		n++
+	}
+	r.ctr.generated.Add(uint64(n))
+	tLint := time.Now()
+	results = slices.Grow(results[:0], len(s.Entries))
+	var quar []Quarantine
+	for j, e := range s.Entries {
+		res, lerr := runLintSafe(r.reg, e.Cert, r.opts)
+		if lerr != nil {
+			r.ctr.quarantine(i, j, "lint")
+			quar = append(quar, Quarantine{Slot: i, Index: j, Stage: "lint", Err: lerr})
+		}
+		results = append(results, res)
+	}
+	r.ctr.lintSeconds.Observe(time.Since(tLint).Seconds())
+	r.ctr.linted.Add(uint64(len(s.Entries)))
+	return s, results, quar, nil
 }
 
 // MeasureStream runs the fused generate→lint pipeline without
@@ -245,89 +270,27 @@ func MeasureStream(ctx context.Context, cfg corpus.Config, reg *lint.Registry, o
 	if err != nil {
 		return Stats{}, err
 	}
-	workers := pc.workers()
-	ctr := newMetrics(pc)
-
-	jobs := make(chan int, pc.queue(workers))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		foldMu   sync.Mutex
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var results []*lint.CertResult // reused across slots
-			for i := range jobs {
-				ctr.inFlight.Add(1)
-				tGen := time.Now()
-				s, err, panicked := safeGenerateSlot(gen, i)
-				if err != nil {
-					ctr.inFlight.Add(-1)
-					if !panicked {
-						fail(err)
-						return
-					}
-					ctr.quarantine(i, -1, "generate")
-					continue
-				}
-				ctr.genSeconds.Observe(time.Since(tGen).Seconds())
-				n := len(s.Entries)
-				if s.Precert != nil {
-					n++
-				}
-				ctr.generated.Add(uint64(n))
-				tLint := time.Now()
-				results = results[:0]
-				for j, e := range s.Entries {
-					r, lerr := runLintSafe(reg, e.Cert, opts)
-					if lerr != nil {
-						ctr.quarantine(i, j, "lint")
-						r = nil
-					}
-					results = append(results, r)
-				}
-				ctr.lintSeconds.Observe(time.Since(tLint).Seconds())
-				ctr.linted.Add(uint64(len(s.Entries)))
-				foldMu.Lock()
-				ferr := fold(i, s, results)
-				foldMu.Unlock()
-				corpus.ReleaseSlot(s)
-				ctr.inFlight.Add(-1)
-				if ferr != nil {
-					fail(ferr)
-					return
-				}
-			}
-		}()
-	}
-
-feedStream:
-	for i := 0; i < gen.Slots(); i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feedStream
+	run := &slotRun{gen: gen, reg: reg, opts: opts, ctr: newMetrics(pc)}
+	var foldMu sync.Mutex
+	reuse := make([][]*lint.CertResult, pc.workers()) // each worker's results, kept across its slots
+	err = parallelIndexed(ctx, gen.Slots(), pc, func(w, i int) error {
+		run.ctr.inFlight.Add(1)
+		defer run.ctr.inFlight.Add(-1)
+		s, results, _, err := run.slot(i, reuse[w])
+		if s == nil {
+			return err
 		}
+		reuse[w] = results
+		foldMu.Lock()
+		err = fold(i, s, results)
+		foldMu.Unlock()
+		corpus.ReleaseSlot(s)
+		return err
+	})
+	if err != nil {
+		return Stats{}, err
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return Stats{}, firstErr
-	}
-	return ctr.snapshot(workers, 0), nil
+	return run.ctr.snapshot(pc.workers()), nil
 }
 
 // Measure generates the corpus for cfg and lints every entry, fanned
@@ -340,123 +303,36 @@ func Measure(ctx context.Context, cfg corpus.Config, reg *lint.Registry, opts li
 	if err != nil {
 		return nil, err
 	}
-	workers := pc.workers()
-	ctr := newMetrics(pc)
-
+	run := &slotRun{gen: gen, reg: reg, opts: opts, ctr: newMetrics(pc)}
 	type slotResult struct {
 		slot        *corpus.Slot
 		results     []*lint.CertResult // parallel to slot.Entries
 		quarantined []Quarantine       // Index holds the slot-local entry index until aggregation
 	}
 	outs := make([]slotResult, gen.Slots())
-
-	jobs := make(chan int, pc.queue(workers))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	if pc.Progress != nil {
-		every := pc.ProgressEvery
-		if every <= 0 {
-			every = time.Second
+	err = parallelIndexed(ctx, gen.Slots(), pc, func(_, i int) error {
+		run.ctr.inFlight.Add(1)
+		defer run.ctr.inFlight.Add(-1)
+		s, results, quar, err := run.slot(i, nil)
+		if s == nil {
+			s = &corpus.Slot{}
 		}
-		progressDone := make(chan struct{})
-		defer close(progressDone)
-		go func() {
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					pc.Progress(ctr.snapshot(workers, len(jobs)))
-				case <-progressDone:
-					return
-				}
-			}
-		}()
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ctr.inFlight.Add(1)
-				tGen := time.Now()
-				s, err, panicked := safeGenerateSlot(gen, i)
-				if err != nil {
-					if !panicked {
-						// A clean generator error is a configuration
-						// problem; panics are hostile inputs and are
-						// contained to the slot.
-						ctr.inFlight.Add(-1)
-						fail(err)
-						return
-					}
-					ctr.quarantine(i, -1, "generate")
-					outs[i] = slotResult{
-						slot:        &corpus.Slot{},
-						quarantined: []Quarantine{{Slot: i, Index: -1, Stage: "generate", Err: err}},
-					}
-					ctr.inFlight.Add(-1)
-					continue
-				}
-				ctr.genSeconds.Observe(time.Since(tGen).Seconds())
-				n := len(s.Entries)
-				if s.Precert != nil {
-					n++
-				}
-				ctr.generated.Add(uint64(n))
-				tLint := time.Now()
-				res := make([]*lint.CertResult, len(s.Entries))
-				var quar []Quarantine
-				for j, e := range s.Entries {
-					r, lerr := runLintSafe(reg, e.Cert, opts)
-					res[j] = r
-					if lerr != nil {
-						ctr.quarantine(i, j, "lint")
-						quar = append(quar, Quarantine{Slot: i, Index: j, Stage: "lint", Err: lerr})
-					}
-				}
-				ctr.lintSeconds.Observe(time.Since(tLint).Seconds())
-				ctr.linted.Add(uint64(len(s.Entries)))
-				// Disjoint per-slot cells; wg.Wait orders these writes
-				// before the aggregation below.
-				outs[i] = slotResult{slot: s, results: res, quarantined: quar}
-				ctr.inFlight.Add(-1)
-			}
-		}()
-	}
-
-feed:
-	for i := 0; i < gen.Slots(); i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		// Disjoint per-slot cells; parallelIndexed returns only after
+		// every worker is done, which orders these writes before the
+		// aggregation below.
+		outs[i] = slotResult{slot: s, results: results, quarantined: quar}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate in slot order. Truncation to cfg.Size is mirrored from
 	// corpus.Generator.Assemble so the lint results stay parallel to
 	// the entry list. Quarantine records are rewritten from slot-local
-	// to global certificate indexes as the offsets become known.
+	// to global certificate indexes as the offsets become known, and a
+	// quarantined cell gets an empty result so aggregation never meets
+	// a nil.
 	slots := make([]*corpus.Slot, len(outs))
 	m := &corpus.Measurement{}
 	var quarantines []Quarantine
@@ -467,6 +343,7 @@ feed:
 		for _, q := range outs[i].quarantined {
 			if q.Index >= 0 {
 				q.Index += base
+				m.Results[q.Index] = &lint.CertResult{}
 			}
 			quarantines = append(quarantines, q)
 		}
@@ -475,29 +352,7 @@ feed:
 	if len(m.Results) > len(m.Corpus.Entries) {
 		m.Results = m.Results[:len(m.Corpus.Entries)]
 	}
-	return &Result{Measurement: m, Stats: ctr.snapshot(workers, 0), Quarantines: quarantines}, nil
-}
-
-// LintCorpus lints an already-generated corpus across workers; the
-// results are identical and order-stable versus corpus.RunLinter. It is
-// the pipeline's lint stage alone, for callers that already hold
-// parsed entries.
-func LintCorpus(ctx context.Context, c *corpus.Corpus, reg *lint.Registry, opts lint.Options, pc Config) (*corpus.Measurement, error) {
-	m := &corpus.Measurement{Corpus: c, Results: make([]*lint.CertResult, len(c.Entries))}
-	err := parallelIndexed(ctx, len(c.Entries), pc, func(i int) error {
-		r, lerr := runLintSafe(reg, c.Entries[i].Cert, opts)
-		if lerr != nil {
-			// Surface the panic as a clean per-certificate error so the
-			// caller sees which input was hostile.
-			return fmt.Errorf("certificate %d: %w", i, lerr)
-		}
-		m.Results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return &Result{Measurement: m, Stats: run.ctr.snapshot(pc.workers()), Quarantines: quarantines}, nil
 }
 
 // LintDERs parses (leniently) and lints raw DER certificates across
@@ -505,7 +360,7 @@ func LintCorpus(ctx context.Context, c *corpus.Corpus, reg *lint.Registry, opts 
 // multi-certificate invocations.
 func LintDERs(ctx context.Context, ders [][]byte, reg *lint.Registry, opts lint.Options, pc Config) ([]*lint.CertResult, error) {
 	out := make([]*lint.CertResult, len(ders))
-	err := parallelIndexed(ctx, len(ders), pc, func(i int) error {
+	err := parallelIndexed(ctx, len(ders), pc, func(_, i int) error {
 		// Zero-copy parse: ders[i] is caller-owned and outlives the
 		// results, which is exactly the ParseLint ownership contract.
 		cert, err := x509cert.ParseLint(ders[i], x509cert.ParseLenient)
@@ -514,6 +369,8 @@ func LintDERs(ctx context.Context, ders [][]byte, reg *lint.Registry, opts lint.
 		}
 		r, lerr := runLintSafe(reg, cert, opts)
 		if lerr != nil {
+			// Surface the panic as a clean per-certificate error so the
+			// caller sees which input was hostile.
 			return fmt.Errorf("certificate %d: %w", i, lerr)
 		}
 		out[i] = r
@@ -525,10 +382,12 @@ func LintDERs(ctx context.Context, ders [][]byte, reg *lint.Registry, opts lint.
 	return out, nil
 }
 
-// parallelIndexed runs fn(i) for i in [0, n) across pc workers with a
-// bounded feed queue and context cancellation. Each index is processed
-// exactly once; the first error cancels the run.
-func parallelIndexed(ctx context.Context, n int, pc Config, fn func(int) error) error {
+// parallelIndexed runs fn(w, i) for i in [0, n) across pc workers with a
+// bounded feed queue and context cancellation; w in [0, pc.workers())
+// names the worker, so fn can keep per-worker state without locking.
+// Each index is processed exactly once; the first error cancels the
+// run. At one worker the loop runs inline.
+func parallelIndexed(ctx context.Context, n int, pc Config, fn func(w, i int) error) error {
 	workers := pc.workers()
 	if workers > n {
 		workers = n
@@ -538,13 +397,15 @@ func parallelIndexed(ctx context.Context, n int, pc Config, fn func(int) error) 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	jobs := make(chan int, pc.queue(workers))
+	// A queue of 4× workers keeps the feeder from racing ahead of slow
+	// workers without idling fast ones.
+	jobs := make(chan int, 4*workers)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -563,7 +424,7 @@ func parallelIndexed(ctx context.Context, n int, pc Config, fn func(int) error) 
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					fail(err)
 					return
 				}

@@ -98,32 +98,6 @@ func ncFilter(m *corpus.Measurement) []int {
 	return m.ValidityCDF(func(i int, e *corpus.Entry) bool { return m.Noncompliant(i) })
 }
 
-// TestLintCorpusMatchesSequential replaces the retired
-// corpus.RunLinterParallel test: the pipeline's lint-only stage must be
-// result-identical and order-stable versus corpus.RunLinter.
-func TestLintCorpusMatchesSequential(t *testing.T) {
-	c, err := corpus.Generate(corpus.Config{Size: 400, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := corpus.RunLinter(c, lint.Global, lint.Options{})
-	par, err := LintCorpus(context.Background(), c, lint.Global, lint.Options{}, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.NCCount() != par.NCCount() {
-		t.Fatalf("NC counts differ: %d vs %d", seq.NCCount(), par.NCCount())
-	}
-	for i := range seq.Results {
-		if seq.Results[i].Noncompliant() != par.Results[i].Noncompliant() {
-			t.Fatalf("entry %d verdict differs", i)
-		}
-		if len(seq.Results[i].Findings) != len(par.Results[i].Findings) {
-			t.Fatalf("entry %d finding count differs", i)
-		}
-	}
-}
-
 func TestLintDERsOrderAndErrors(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{Size: 30, Seed: 5})
 	if err != nil {
@@ -152,15 +126,16 @@ func TestLintDERsOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestMeasureCancellation checks both pool shapes: at one worker the
+// slots run inline and must still honour a cancelled context.
 func TestMeasureCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Measure(ctx, corpus.Config{Size: 5000, Seed: 1}, lint.Global, lint.Options{}, Config{Workers: 2})
-	if err == nil {
-		t.Fatal("cancelled measure must error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		_, err := Measure(ctx, corpus.Config{Size: 5000, Seed: 1}, lint.Global, lint.Options{}, Config{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
@@ -288,8 +263,47 @@ func TestMeasureQuarantinesPanickingLint(t *testing.T) {
 	}
 }
 
-// TestLintDERsPanickingLintErrorsWithIndex: the lint-only entry points
-// surface a panicking lint as a per-certificate error naming the
+// TestMeasureStreamQuarantinesPanickingLint runs the slot body shared
+// with Measure from the streaming side: the panicking entries arrive as
+// nil results, Stats counts them, and every other result matches what
+// Measure retains for the same corpus.
+func TestMeasureStreamQuarantinesPanickingLint(t *testing.T) {
+	cfg := corpus.Config{Size: 120, Seed: 17}
+	ref, err := Measure(context.Background(), cfg, lint.Global, lint.Options{}, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without variants every slot holds one entry: slot i is certificate i.
+	failures := func(r *lint.CertResult) (out []string) {
+		for _, f := range r.Failed() {
+			out = append(out, f.Lint.Name+": "+f.Details)
+		}
+		return out
+	}
+	nils := 0
+	stats, err := MeasureStream(context.Background(), cfg, panickingRegistry(t, 10), lint.Options{}, Config{Workers: 4},
+		func(slot int, s *corpus.Slot, results []*lint.CertResult) error {
+			for j, r := range results {
+				if r == nil {
+					nils++
+					continue
+				}
+				if got, want := failures(r), failures(ref.Measurement.Results[slot+j]); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("slot %d: failures %v, Measure has %v", slot, got, want)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("panicking lint killed the stream: %v", err)
+	}
+	if nils == 0 || stats.Quarantined != uint64(nils) {
+		t.Fatalf("%d nil results, Stats.Quarantined = %d", nils, stats.Quarantined)
+	}
+}
+
+// TestLintDERsPanickingLintErrorsWithIndex: the lint-only entry point
+// surfaces a panicking lint as a per-certificate error naming the
 // input, instead of a process panic.
 func TestLintDERsPanickingLintErrorsWithIndex(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{Size: 8, Seed: 5})
@@ -306,9 +320,6 @@ func TestLintDERsPanickingLintErrorsWithIndex(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "certificate ") || !strings.Contains(err.Error(), "lint panicked") {
 		t.Fatalf("error lacks certificate index context: %v", err)
-	}
-	if _, err := LintCorpus(context.Background(), c, panickingRegistry(t, 1), lint.Options{}, Config{Workers: 2}); err == nil {
-		t.Fatal("LintCorpus must surface the panic as an error too")
 	}
 }
 
@@ -352,6 +363,18 @@ func TestMeasureStats(t *testing.T) {
 	}
 	if len(res.Measurement.Results) != len(res.Measurement.Corpus.Entries) {
 		t.Errorf("results not parallel to entries: %d vs %d", len(res.Measurement.Results), len(res.Measurement.Corpus.Entries))
+	}
+}
+
+// TestMeasureDefaultWorkers runs Measure with the zero Config, which
+// sizes the pool to the machine, and checks every entry has a result.
+func TestMeasureDefaultWorkers(t *testing.T) {
+	res, err := Measure(context.Background(), corpus.Config{Size: 300, Seed: 5}, lint.Global, lint.Options{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Measurement.Results) < 300 {
+		t.Fatalf("results %d", len(res.Measurement.Results))
 	}
 }
 

@@ -25,6 +25,20 @@ func TestRuleCount(t *testing.T) {
 	}
 }
 
+// TestDeriveRulesFixed checks that derivation returns the same fixed
+// table from every engine.
+func TestDeriveRulesFixed(t *testing.T) {
+	a, b := NewEngine().DeriveRules(), NewEngine().DeriveRules()
+	if len(a) != 95 || len(b) != len(a) {
+		t.Fatalf("derived %d and %d rules, want 95", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].LintName != b[i].LintName || a[i].Text != b[i].Text {
+			t.Fatalf("rule %d: %q vs %q", i, a[i].LintName, b[i].LintName)
+		}
+	}
+}
+
 func TestRulesBindToLints(t *testing.T) {
 	e := NewEngine()
 	seen := make(map[string]bool)

@@ -110,7 +110,14 @@ func (e *DecodeError) Error() string {
 // decode with a *DecodeError.
 func Decode(m Method, h Handling, b []byte) (string, error) {
 	var sb strings.Builder
-	sb.Grow(len(b))
+	// A UCS-2 or UTF-16 unit may decode longer than its two bytes, and
+	// MaxDecodedLen is exact for the BMP there. The byte-oriented methods
+	// keep len(b), so a string never pins room it does not use.
+	if m == UCS2 || m == UTF16BE {
+		sb.Grow(MaxDecodedLen(m, b))
+	} else {
+		sb.Grow(len(b))
+	}
 	if err := DecodeTo(&sb, m, h, b); err != nil {
 		return "", err
 	}

@@ -173,6 +173,29 @@ func TestDecodeToBoundedAndAllocFree(t *testing.T) {
 	}
 }
 
+// TestDecodeWideTextAllocatesOnce checks that Decode sizes its builder
+// for what a UCS-2 or UTF-16 value decodes to: 12 CJK characters are 24
+// bytes in and 36 out, which used to regrow the builder once.
+func TestDecodeWideTextAllocatesOnce(t *testing.T) {
+	const text = "国際化証明書の認証局名前"
+	var in []byte
+	for _, r := range text {
+		in = append(in, byte(r>>8), byte(r))
+	}
+	for _, m := range []Method{UCS2, UTF16BE} {
+		var out string
+		n := testing.AllocsPerRun(50, func() {
+			out, _ = Decode(m, Strict, in)
+		})
+		if out != text {
+			t.Fatalf("%s: decoded %q", m, out)
+		}
+		if n != 1 {
+			t.Errorf("%s: %v allocations, want 1", m, n)
+		}
+	}
+}
+
 func TestDecodeUTF16LoneSurrogateStrict(t *testing.T) {
 	if _, err := Decode(UTF16BE, Strict, []byte{0xD8, 0x3D, 0x00, 0x41}); err == nil {
 		t.Fatal("lone high surrogate must fail under Strict")

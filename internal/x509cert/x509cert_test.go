@@ -296,6 +296,14 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestParseWithModeRejectsGarbage(t *testing.T) {
+	for _, mode := range []ParseMode{ParseStrict, ParseLenient} {
+		if _, err := ParseWithMode([]byte{0x00, 0x01}, mode); err == nil {
+			t.Errorf("mode %v: garbage must be rejected", mode)
+		}
+	}
+}
+
 func TestValidityEncodingBoundary(t *testing.T) {
 	// Certificates valid "until 2050" (§4.3.2) exercise the
 	// UTCTime→GeneralizedTime boundary.
