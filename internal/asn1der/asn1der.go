@@ -382,20 +382,40 @@ func (v *Value) Bool() (bool, error) {
 	return v.Bytes[0] != 0, nil
 }
 
-// Int decodes an INTEGER content into an int64.
+// Int decodes an INTEGER content into an int64, with no big.Int: a
+// minimal INTEGER fits exactly when it has at most 8 content octets.
 func (v *Value) Int() (int64, error) {
-	b, err := v.BigInt()
+	b, err := v.intContent()
 	if err != nil {
 		return 0, err
 	}
-	if !b.IsInt64() {
+	if len(b) > 8 {
 		return 0, errors.New("asn1der: INTEGER does not fit in int64")
 	}
-	return b.Int64(), nil
+	n := int64(int8(b[0])) // the first octet carries the sign
+	for _, c := range b[1:] {
+		n = n<<8 | int64(c)
+	}
+	return n, nil
 }
 
 // BigInt decodes an INTEGER content of arbitrary width.
 func (v *Value) BigInt() (*big.Int, error) {
+	b, err := v.intContent()
+	if err != nil {
+		return nil, err
+	}
+	n := new(big.Int).SetBytes(b)
+	if b[0]&0x80 != 0 {
+		shift := new(big.Int).Lsh(big.NewInt(1), uint(len(b)*8))
+		n.Sub(n, shift)
+	}
+	return n, nil
+}
+
+// intContent returns the content octets of a minimally encoded
+// INTEGER or ENUMERATED.
+func (v *Value) intContent() ([]byte, error) {
 	if v.Tag.Class != ClassUniversal || (v.Tag.Number != TagInteger && v.Tag.Number != TagEnumerated) {
 		return nil, fmt.Errorf("asn1der: got %s, want INTEGER", v.Tag)
 	}
@@ -408,12 +428,7 @@ func (v *Value) BigInt() (*big.Int, error) {
 			return nil, errors.New("asn1der: non-minimal INTEGER")
 		}
 	}
-	n := new(big.Int).SetBytes(b)
-	if b[0]&0x80 != 0 {
-		shift := new(big.Int).Lsh(big.NewInt(1), uint(len(b)*8))
-		n.Sub(n, shift)
-	}
-	return n, nil
+	return b, nil
 }
 
 // BitString decodes a BIT STRING into its bytes and unused-bit count.

@@ -2,7 +2,11 @@ package asn1der
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math/big"
 	"testing"
+	"time"
 )
 
 func FuzzParse(f *testing.F) {
@@ -69,5 +73,118 @@ func FuzzOIDRoundTrip(f *testing.F) {
 		if !got.Equal(oid) {
 			t.Fatalf("round trip %v -> %v", oid, got)
 		}
+	})
+}
+
+// oracleTime is Value.Time as it was before its fast path: every
+// content goes through time.Parse. FuzzValueTime holds Time to it.
+func oracleTime(v *Value) (time.Time, error) {
+	if v.Tag.Class != ClassUniversal {
+		return time.Time{}, fmt.Errorf("asn1der: %s is not a time type", v.Tag)
+	}
+	s := string(v.Bytes)
+	switch v.Tag.Number {
+	case TagUTCTime:
+		t, err := time.Parse("060102150405Z", s)
+		if err != nil {
+			t, err = time.Parse("0601021504Z", s)
+			if err != nil {
+				return time.Time{}, fmt.Errorf("asn1der: bad UTCTime %q", s)
+			}
+		}
+		if t.Year() >= 2050 {
+			t = t.AddDate(-100, 0, 0)
+		}
+		return t, nil
+	case TagGeneralizedTime:
+		t, err := time.Parse("20060102150405Z", s)
+		if err != nil {
+			return time.Time{}, fmt.Errorf("asn1der: bad GeneralizedTime %q", s)
+		}
+		return t, nil
+	default:
+		return time.Time{}, fmt.Errorf("asn1der: %s is not a time type", v.Tag)
+	}
+}
+
+// oracleInt is Value.Int as it was before it stopped using big.Int.
+func oracleInt(v *Value) (int64, error) {
+	if v.Tag.Class != ClassUniversal || (v.Tag.Number != TagInteger && v.Tag.Number != TagEnumerated) {
+		return 0, fmt.Errorf("asn1der: got %s, want INTEGER", v.Tag)
+	}
+	b := v.Bytes
+	if len(b) == 0 {
+		return 0, errors.New("asn1der: empty INTEGER")
+	}
+	if len(b) > 1 {
+		if (b[0] == 0x00 && b[1]&0x80 == 0) || (b[0] == 0xFF && b[1]&0x80 != 0) {
+			return 0, errors.New("asn1der: non-minimal INTEGER")
+		}
+	}
+	n := new(big.Int).SetBytes(b)
+	if b[0]&0x80 != 0 {
+		n.Sub(n, new(big.Int).Lsh(big.NewInt(1), uint(len(b)*8)))
+	}
+	if !n.IsInt64() {
+		return 0, errors.New("asn1der: INTEGER does not fit in int64")
+	}
+	return n.Int64(), nil
+}
+
+// sameResult fails t unless both results carry the same error text, or
+// both succeed with identical values (== also compares the Location).
+func sameResult[T comparable](t *testing.T, in []byte, got, want T, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%q: error %v, oracle %v", in, gotErr, wantErr)
+	}
+	if got != want {
+		t.Fatalf("%q: %v, oracle %v", in, got, want)
+	}
+}
+
+func FuzzValueTime(f *testing.F) {
+	for _, s := range []string{
+		"490101000000Z", "500101000000Z", "680101000000Z", "690101000000Z", "991231235959Z",
+		"240229120000Z", "20240229120000Z", "21000229120000Z", "19000229120000Z", "000229000000Z",
+		"240101000060Z", "240101240000Z", "240431000000Z", "20240631000000Z",
+		"2401010000Z", "240101000000.5Z", "20240101000000.5Z", "240101000000", "20240101000000",
+		"240101000000+0000", "2401011000Z", "24010150000Z", "-10101000000Z", "+50101000000Z",
+		"240101000000Z", "20240101000000Z", "99991231235959Z", "00000101000000Z",
+	} {
+		f.Add(uint8(TagUTCTime), []byte(s))
+		f.Add(uint8(TagGeneralizedTime), []byte(s))
+	}
+	f.Add(uint8(TagOctetString), []byte("240101000000Z"))
+	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
+		v := &Value{Tag: Tag{Class: ClassUniversal, Number: int(tag)}, Bytes: body}
+		got, err := v.Time()
+		want, wantErr := oracleTime(v)
+		sameResult(t, body, got, want, err, wantErr)
+		if err == nil && got.Location().String() != want.Location().String() {
+			t.Fatalf("%q: location %v, oracle %v", body, got.Location(), want.Location())
+		}
+	})
+}
+
+func FuzzValueInt(f *testing.F) {
+	for _, b := range [][]byte{
+		{0x00}, {0xFF}, {0x7F}, {0x00, 0x80}, {0x80}, {0xFF, 0x7F},
+		{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+		{0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+		{0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+		{0x00, 0x7F}, {0xFF, 0x80}, {},
+	} {
+		f.Add(uint8(TagInteger), b)
+	}
+	f.Add(uint8(TagEnumerated), []byte{0x02})
+	f.Add(uint8(TagOctetString), []byte{0x02})
+	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
+		v := &Value{Tag: Tag{Class: ClassUniversal, Number: int(tag)}, Bytes: body}
+		got, err := v.Int()
+		want, wantErr := oracleInt(v)
+		sameResult(t, body, got, want, err, wantErr)
 	})
 }

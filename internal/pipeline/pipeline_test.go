@@ -463,3 +463,99 @@ func TestMeasureStreamFoldError(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
+
+// verdict lists every finding of r as lint, status and detail.
+func verdict(r *lint.CertResult) []string {
+	out := make([]string, len(r.Findings))
+	for i, f := range r.Findings {
+		out[i] = fmt.Sprintf("%s %v %q", r.Lint(f).Name, f.Status, r.Details(f))
+	}
+	return out
+}
+
+// TestLintDERsMatchesFreshParse guards LintDERs' release of each
+// certificate after its lint: every result equals a fresh per-certificate
+// ParseWithMode + Run, and still does after a second call has reused
+// the pooled certificates for other DERs.
+func TestLintDERsMatchesFreshParse(t *testing.T) {
+	ders := func(seed int64) [][]byte {
+		c, err := corpus.Generate(corpus.Config{Size: 200, Seed: seed, PrecertFraction: 0.05, VariantFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]byte, len(c.Entries))
+		for i, e := range c.Entries {
+			out[i] = e.DER
+		}
+		return out
+	}
+	first, second := ders(33), ders(34)
+	want := make([][]string, len(first))
+	for i, der := range first {
+		c, err := x509cert.ParseWithMode(der, x509cert.ParseLenient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = verdict(lint.Global.Run(c, lint.Options{}))
+	}
+	for _, workers := range []int{1, 2} {
+		results, err := LintDERs(context.Background(), first, lint.Global, lint.Options{}, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, r := range results {
+				if got := verdict(r); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("workers=%d %s: certificate %d:\n got %q\nwant %q", workers, when, i, got, want[i])
+				}
+			}
+		}
+		check("first call")
+		if _, err := LintDERs(context.Background(), second, lint.Global, lint.Options{}, Config{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		check("after a second call")
+	}
+}
+
+// TestMeasureStreamFoldsMeasureEntries: with variants drawn, slots
+// overshoot cfg.Size and Measure truncates the tail. MeasureStream must
+// fold exactly Measure's entries, in Measure's order, at any worker
+// count.
+func TestMeasureStreamFoldsMeasureEntries(t *testing.T) {
+	cfg := corpus.Config{Size: 300, Seed: 9, VariantFraction: 0.5}
+	ref, err := Measure(context.Background(), cfg, lint.Global, lint.Options{}, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Measurement.Corpus.Entries) != cfg.Size {
+		t.Fatalf("Measure retained %d entries, want %d", len(ref.Measurement.Corpus.Entries), cfg.Size)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var ders []string
+		var verdicts [][]string
+		_, err := MeasureStream(context.Background(), cfg, lint.Global, lint.Options{}, Config{Workers: workers},
+			func(slot int, s *corpus.Slot, results []*lint.CertResult) error {
+				for j, e := range s.Entries {
+					ders = append(ders, string(e.DER))
+					verdicts = append(verdicts, verdict(results[j]))
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(ders) != cfg.Size {
+			t.Fatalf("workers=%d: folded %d entries, Measure retained %d", workers, len(ders), cfg.Size)
+		}
+		for i, e := range ref.Measurement.Corpus.Entries {
+			if ders[i] != string(e.DER) {
+				t.Fatalf("workers=%d: entry %d differs from Measure's", workers, i)
+			}
+			if want := verdict(ref.Measurement.Results[i]); !reflect.DeepEqual(verdicts[i], want) {
+				t.Fatalf("workers=%d: entry %d verdict %q, Measure has %q", workers, i, verdicts[i], want)
+			}
+		}
+	}
+}
