@@ -294,8 +294,8 @@ type Certificate struct {
 
 	SignatureValue []byte
 
-	// ParseWarnings records recoverable structural oddities the lenient
-	// parser tolerated (e.g. BER lengths); strict parsing never sets it.
+	// ParseWarnings records, in either mode, each extension whose value
+	// did not decode (extension values are DER in both) and is kept raw.
 	ParseWarnings []string
 
 	// Lazily-built memos for hot accessors. Lints re-walk the same
