@@ -25,8 +25,9 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Seconds of coverage-guided fuzzing per target in `make check`: the
-# Merkle proof verifiers, and the asn1der Time and Int fast paths
-# against their time.Parse and big.Int oracles — enough to shake out
+# Merkle proof verifiers, the asn1der Time and Int fast paths against
+# their time.Parse and big.Int oracles, and the allocation-free Punycode
+# encoder against the []rune one it replaced — enough to shake out
 # regressions without stalling the suite. Raise for a dedicated fuzz
 # session.
 FUZZ_TIME ?= 10s
@@ -34,6 +35,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProofVerification' -fuzztime $(FUZZ_TIME) ./internal/ctlog
 	$(GO) test -run '^$$' -fuzz '^FuzzValueTime$$' -fuzztime $(FUZZ_TIME) ./internal/asn1der
 	$(GO) test -run '^$$' -fuzz '^FuzzValueInt$$' -fuzztime $(FUZZ_TIME) ./internal/asn1der
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendEncode$$' -fuzztime $(FUZZ_TIME) ./internal/punycode
 
 check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 )
@@ -161,6 +162,13 @@ func FuzzValueTime(f *testing.F) {
 		got, err := v.Time()
 		want, wantErr := oracleTime(v)
 		sameResult(t, body, got, want, err, wantErr)
+		// DERTime takes exactly the DER layouts, to Time's value.
+		n := len(body)
+		der := len(body) > 0 && body[n-1] == 'Z' && strings.Trim(string(body[:n-1]), "0123456789") == "" &&
+			(tag == TagUTCTime && n == 13 || tag == TagGeneralizedTime && n == 15)
+		if dt, derr := v.DERTime(); (derr == nil) != (der && err == nil) || derr == nil && !dt.Equal(got) {
+			t.Fatalf("DERTime(%d, %q) = %v, %v; Time = %v, %v", tag, body, dt, derr, got, err)
+		}
 		if err == nil && got.Location().String() != want.Location().String() {
 			t.Fatalf("%q: location %v, oracle %v", body, got.Location(), want.Location())
 		}

@@ -58,6 +58,15 @@ func (v *Value) Time() (time.Time, error) {
 	}
 }
 
+// DERTime is Time restricted to DER's two layouts, the only ones RFC
+// 5280 §4.1.2.5 allows in a certificate's validity.
+func (v *Value) DERTime() (time.Time, error) {
+	if t, ok := derTime(v.Tag.Number, v.Bytes); ok && v.Tag.Class == ClassUniversal {
+		return t, nil
+	}
+	return time.Time{}, fmt.Errorf("asn1der: %s %q is not a DER time", v.Tag, v.Bytes)
+}
+
 // derTime reads exactly YYMMDDHHMMSSZ (UTCTime) or YYYYMMDDHHMMSSZ
 // (GeneralizedTime), all digits and every field in range, to the value
 // Time's time.Parse path gives it; ok is false for any other content.

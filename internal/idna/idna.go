@@ -38,16 +38,6 @@ var (
 	ErrBidiViolation      = errors.New("idna: label violates the Bidi rule")
 )
 
-// IsASCIILabel reports whether the label is pure ASCII.
-func IsASCIILabel(label string) bool {
-	for i := 0; i < len(label); i++ {
-		if label[i] >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
 // ValidateLDHLabel checks the RFC 1034 preferred-name syntax for one
 // ASCII label, as RFC 5280 requires of DNSNames.
 func ValidateLDHLabel(label string) error {
@@ -127,7 +117,8 @@ func ValidateULabel(label string) error {
 	if err := bidiRule(label); err != nil {
 		return err
 	}
-	a, err := punycode.EncodeLabel(label)
+	var buf [64]byte
+	a, err := punycode.AppendLabel(buf[:0], label)
 	if err != nil {
 		return fmt.Errorf("idna: %v", err)
 	}
@@ -176,11 +167,12 @@ func ValidateALabel(label string) error {
 	if err := ValidateULabel(u); err != nil {
 		return err
 	}
-	back, err := punycode.EncodeLabel(u)
+	var buf [64]byte
+	back, err := punycode.AppendLabel(buf[:0], u)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNonCanonicalALabel, err)
 	}
-	if back != lower {
+	if string(back) != lower {
 		return ErrNonCanonicalALabel
 	}
 	return nil
@@ -226,10 +218,7 @@ func ToASCII(domain string) (string, error) {
 // class.
 func IsIDN(domain string) bool {
 	for _, l := range strings.Split(domain, ".") {
-		if strings.HasPrefix(strings.ToLower(l), punycode.ACEPrefix) {
-			return true
-		}
-		if !IsASCIILabel(l) {
+		if strings.HasPrefix(strings.ToLower(l), punycode.ACEPrefix) || !punycode.IsASCII(l) {
 			return true
 		}
 	}
@@ -287,11 +276,8 @@ var idnCcTLDs = map[string]string{
 // IsIDNccTLD reports whether the domain's top-level label is a
 // delegated internationalized ccTLD (in A-label or U-label form).
 func IsIDNccTLD(domain string) bool {
-	labels := strings.Split(strings.TrimSuffix(strings.ToLower(domain), "."), ".")
-	if len(labels) == 0 {
-		return false
-	}
-	tld := labels[len(labels)-1]
+	tld := strings.TrimSuffix(strings.ToLower(domain), ".")
+	tld = tld[strings.LastIndexByte(tld, '.')+1:]
 	if _, ok := idnCcTLDs[tld]; ok {
 		return true
 	}

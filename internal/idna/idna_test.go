@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceflag"
 )
 
 func TestValidateLDHLabel(t *testing.T) {
@@ -189,6 +191,24 @@ func TestIsIDNccTLD(t *testing.T) {
 	for _, d := range []string{"example.com", "xn--p1ai.com", "", "bank.ru"} {
 		if IsIDNccTLD(d) {
 			t.Errorf("%q should not be an IDN ccTLD domain", d)
+		}
+	}
+}
+
+// TestValidateLabelsAllocateNothing: a valid label's A-label is encoded
+// into a stack buffer, so validating it allocates nothing.
+func TestValidateLabelsAllocateNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	for _, l := range []string{"bücher", "中国政府", "example"} {
+		if n := testing.AllocsPerRun(100, func() { _ = ValidateULabel(l) }); n != 0 {
+			t.Errorf("ValidateULabel(%q): %v allocs, want 0", l, n)
+		}
+	}
+	for _, l := range []string{"xn--bcher-kva", "xn--fiqs8sirgfmh"} {
+		if n := testing.AllocsPerRun(100, func() { _ = ValidateALabel(l) }); n != 0 {
+			t.Errorf("ValidateALabel(%q): %v allocs, want 0", l, n)
 		}
 	}
 }

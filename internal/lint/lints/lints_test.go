@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asn1der"
 	"repro/internal/lint"
+	"repro/internal/raceflag"
 	"repro/internal/strenc"
 	"repro/internal/x509cert"
 )
@@ -363,4 +364,26 @@ func TestGlobalLintDERAndPEM(t *testing.T) {
 // without normalizing, mirroring what a careless CA does.
 func encodeALabel(label string) (string, error) {
 	return punycodeEncode(label)
+}
+
+// TestLabelLintsAllocateNothing: once a certificate's text view is
+// built, the DNS label lints read its labels in place and encode
+// A-labels into stack buffers, so a passing run allocates nothing.
+func TestLabelLintsAllocateNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	c, err := x509cert.Parse(triggerDER(t, san("xn--bcher-kva.test.com", "WWW.xn--fiqs8s.Test.COM.", "a-b.xn--p1ai")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range nearMisses {
+		l, _ := lint.Global.ByName(name)
+		if !l.CheckApplies(c) || l.Run(c).Status != lint.Pass {
+			t.Fatalf("%s does not pass on the IDN certificate", name)
+		}
+		if n := testing.AllocsPerRun(100, func() { l.Run(c) }); n != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", name, n)
+		}
+	}
 }

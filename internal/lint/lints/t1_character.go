@@ -154,17 +154,12 @@ func init() {
 		EffectiveDate: dateIDNA,
 		CheckApplies:  hasIDNLabel,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, labels := range c.DNSNameLabels() {
-				for _, label := range labels {
-					if !strings.HasPrefix(label, punycode.ACEPrefix) {
-						continue
-					}
-					if _, err := punycode.Decode(label[len(punycode.ACEPrefix):]); err != nil {
-						return lint.Failf("label %q: %v", label, err)
-					}
+			return eachALabel(c, func(label, _ string, err error) lint.Result {
+				if err != nil {
+					return lint.Failf("label %q: %v", label, err)
 				}
-			}
-			return lint.PassResult
+				return lint.PassResult
+			})
 		},
 	})
 
@@ -180,21 +175,15 @@ func init() {
 		EffectiveDate: dateIDNA,
 		CheckApplies:  hasIDNLabel,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, labels := range c.DNSNameLabels() {
-				for _, label := range labels {
-					if !strings.HasPrefix(label, punycode.ACEPrefix) {
-						continue
-					}
-					u, err := punycode.Decode(label[len(punycode.ACEPrefix):])
-					if err != nil {
-						continue // covered by e_rfc_dns_idn_malformed_unicode
-					}
-					if err := idna.ValidateULabel(u); err != nil && err != idna.ErrNotNFC {
-						return lint.Failf("label %q decodes to %q: %v", label, u, err)
-					}
+			return eachALabel(c, func(label, u string, err error) lint.Result {
+				if err != nil {
+					return lint.PassResult // covered by e_rfc_dns_idn_malformed_unicode
 				}
-			}
-			return lint.PassResult
+				if err := idna.ValidateULabel(u); err != nil && err != idna.ErrNotNFC {
+					return lint.Failf("label %q decodes to %q: %v", label, u, err)
+				}
+				return lint.PassResult
+			})
 		},
 	})
 
@@ -531,12 +520,24 @@ func printableBadAlpha(dn x509cert.DN) lint.Result {
 	return lint.PassResult
 }
 
-func hasIDNLabel(c *x509cert.Certificate) bool {
-	for _, labels := range c.DNSNameLabels() {
-		for _, label := range labels {
-			if strings.HasPrefix(label, punycode.ACEPrefix) {
-				return true
+// eachALabel runs check on each A-label of c's DNS names, with its
+// decoded U-label or decode error, and returns the first failure.
+func eachALabel(c *x509cert.Certificate, check func(label, u string, err error) lint.Result) lint.Result {
+	for _, label := range c.DNSLabels() {
+		if strings.HasPrefix(label, punycode.ACEPrefix) {
+			u, err := punycode.Decode(label[len(punycode.ACEPrefix):])
+			if r := check(label, u, err); r.Status == lint.Fail {
+				return r
 			}
+		}
+	}
+	return lint.PassResult
+}
+
+func hasIDNLabel(c *x509cert.Certificate) bool {
+	for _, label := range c.DNSLabels() {
+		if strings.HasPrefix(label, punycode.ACEPrefix) {
+			return true
 		}
 	}
 	return false

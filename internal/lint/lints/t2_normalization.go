@@ -4,8 +4,6 @@ package lints
 // non-canonical IDN forms (§4.3.1). 4 lints, 3 of them new.
 
 import (
-	"strings"
-
 	"repro/internal/asn1der"
 	"repro/internal/lint"
 	"repro/internal/punycode"
@@ -26,21 +24,12 @@ func init() {
 		EffectiveDate: dateRFC8399,
 		CheckApplies:  hasIDNLabel,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, labels := range c.DNSNameLabels() {
-				for _, label := range labels {
-					if !strings.HasPrefix(label, punycode.ACEPrefix) {
-						continue
-					}
-					u, err := punycode.Decode(label[len(punycode.ACEPrefix):])
-					if err != nil {
-						continue
-					}
-					if !uni.IsNFC(u) {
-						return lint.Failf("label %q decodes to non-NFC %q", label, u)
-					}
+			return eachALabel(c, func(label, u string, err error) lint.Result {
+				if err == nil && !uni.IsNFC(u) {
+					return lint.Failf("label %q decodes to non-NFC %q", label, u)
 				}
-			}
-			return lint.PassResult
+				return lint.PassResult
+			})
 		},
 	})
 
@@ -86,22 +75,16 @@ func init() {
 		EffectiveDate: dateIDNA,
 		CheckApplies:  hasIDNLabel,
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, labels := range c.DNSNameLabels() {
-				for _, label := range labels {
-					if !strings.HasPrefix(label, punycode.ACEPrefix) {
-						continue
-					}
-					u, err := punycode.Decode(label[len(punycode.ACEPrefix):])
-					if err != nil {
-						continue
-					}
-					back, err := punycode.EncodeLabel(u)
-					if err != nil || back != label {
-						return lint.Failf("label %q round-trips to %q", label, back)
-					}
+			return eachALabel(c, func(label, u string, err error) lint.Result {
+				if err != nil {
+					return lint.PassResult
 				}
-			}
-			return lint.PassResult
+				var buf [64]byte
+				if back, err := punycode.AppendLabel(buf[:0], u); err != nil || string(back) != label {
+					return lint.Failf("label %q round-trips to %q", label, string(back))
+				}
+				return lint.PassResult
+			})
 		},
 	})
 }

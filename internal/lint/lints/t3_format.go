@@ -132,11 +132,9 @@ func init() {
 		EffectiveDate: dateRFC3280,
 		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, labels := range c.DNSNameLabels() {
-				for _, l := range labels {
-					if len(l) > idna.MaxLabelLength {
-						return lint.Failf("label %q has %d octets", l, len(l))
-					}
+			for _, l := range c.DNSLabels() {
+				if len(l) > idna.MaxLabelLength {
+					return lint.Failf("label %q has %d octets", l, len(l))
 				}
 			}
 			return lint.PassResult
@@ -194,11 +192,9 @@ func init() {
 		EffectiveDate: dateIDNA,
 		CheckApplies:  func(c *x509cert.Certificate) bool { return len(c.DNSNameTexts()) > 0 },
 		Run: func(c *x509cert.Certificate) lint.Result {
-			for _, labels := range c.DNSNameLabels() {
-				for _, l := range labels {
-					if len(l) >= 4 && l[2] == '-' && l[3] == '-' && !strings.HasPrefix(l, punycode.ACEPrefix) {
-						return lint.Failf("label %q has hyphen-34 without ACE prefix", l)
-					}
+			for _, l := range c.DNSLabels() {
+				if len(l) >= 4 && l[2] == '-' && l[3] == '-' && !strings.HasPrefix(l, punycode.ACEPrefix) {
+					return lint.Failf("label %q has hyphen-34 without ACE prefix", l)
 				}
 			}
 			return lint.PassResult
@@ -278,17 +274,15 @@ func isLetters(s string) bool {
 }
 
 func hyphenCheck(c *x509cert.Certificate, leading bool) lint.Result {
-	for _, labels := range c.DNSNameLabels() {
-		for _, l := range labels {
-			if l == "" || l == "*" {
-				continue
-			}
-			if leading && l[0] == '-' {
-				return lint.Failf("label %q begins with hyphen", l)
-			}
-			if !leading && l[len(l)-1] == '-' {
-				return lint.Failf("label %q ends with hyphen", l)
-			}
+	for _, l := range c.DNSLabels() {
+		if l == "" || l == "*" {
+			continue
+		}
+		if leading && l[0] == '-' {
+			return lint.Failf("label %q begins with hyphen", l)
+		}
+		if !leading && l[len(l)-1] == '-' {
+			return lint.Failf("label %q ends with hyphen", l)
 		}
 	}
 	return lint.PassResult

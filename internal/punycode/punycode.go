@@ -45,6 +45,9 @@ func adapt(delta, numPoints int, firstTime bool) int {
 	return k + (base-tMin+1)*delta/(delta+skew)
 }
 
+// threshold is t(k) of RFC 3492 §6: k - bias, clamped to [tMin, tMax].
+func threshold(k, bias int) int { return min(max(k-bias, tMin), tMax) }
+
 func encodeDigit(d int) byte {
 	switch {
 	case d < 26:
@@ -71,60 +74,60 @@ func decodeDigit(c byte) (int, bool) {
 // "xn--" prefix). Labels that are pure ASCII are returned with a
 // trailing delimiter per the RFC, matching the reference algorithm.
 func Encode(s string) (string, error) {
-	var out strings.Builder
-	runes := []rune(s)
-	basic := 0
-	for _, r := range runes {
+	var buf [64]byte
+	b, err := AppendEncode(buf[:0], s)
+	return string(b), err
+}
+
+// AppendEncode appends Encode(s) to dst. It walks s by rune on every
+// pass, so an encode into a buffer with room allocates nothing. On
+// error it returns dst unchanged.
+func AppendEncode(dst []byte, s string) ([]byte, error) {
+	out, basic, runes := dst, 0, 0
+	for _, r := range s {
 		if r < 0x80 {
-			out.WriteByte(byte(r))
+			out = append(out, byte(r))
 			basic++
 		} else if r > maxRune || (r >= 0xD800 && r <= 0xDFFF) {
-			return "", fmt.Errorf("punycode: invalid rune U+%04X", r)
+			return dst, fmt.Errorf("punycode: invalid rune U+%04X", r)
 		}
+		runes++
 	}
 	h, b := basic, basic
 	if b > 0 {
-		out.WriteByte(delimiter)
+		out = append(out, delimiter)
 	}
 	n, delta, bias := initialN, 0, initialBias
-	for h < len(runes) {
+	for h < runes {
 		m := maxRune + 1
-		for _, r := range runes {
+		for _, r := range s {
 			if int(r) >= n && int(r) < m {
 				m = int(r)
 			}
 		}
 		if (m - n) > (int(^uint(0)>>1)-delta)/(h+1) {
-			return "", ErrOverflow
+			return dst, ErrOverflow
 		}
 		delta += (m - n) * (h + 1)
 		n = m
-		for _, r := range runes {
+		for _, r := range s {
 			if int(r) < n {
 				delta++
 				if delta == 0 {
-					return "", ErrOverflow
+					return dst, ErrOverflow
 				}
 			}
 			if int(r) == n {
 				q := delta
 				for k := base; ; k += base {
-					var t int
-					switch {
-					case k <= bias:
-						t = tMin
-					case k >= bias+tMax:
-						t = tMax
-					default:
-						t = k - bias
-					}
+					t := threshold(k, bias)
 					if q < t {
 						break
 					}
-					out.WriteByte(encodeDigit(t + (q-t)%(base-t)))
+					out = append(out, encodeDigit(t+(q-t)%(base-t)))
 					q = (q - t) / (base - t)
 				}
-				out.WriteByte(encodeDigit(q))
+				out = append(out, encodeDigit(q))
 				bias = adapt(delta, h+1, h == b)
 				delta = 0
 				h++
@@ -133,7 +136,7 @@ func Encode(s string) (string, error) {
 		delta++
 		n++
 	}
-	return out.String(), nil
+	return out, nil
 }
 
 // decodedLabels memoizes Decode: the corpus reuses a small pool of IDN
@@ -192,15 +195,7 @@ func decode(s string) (string, error) {
 				return "", ErrOverflow
 			}
 			i += d * w
-			var t int
-			switch {
-			case k <= bias:
-				t = tMin
-			case k >= bias+tMax:
-				t = tMax
-			default:
-				t = k - bias
-			}
+			t := threshold(k, bias)
 			if d < t {
 				break
 			}
@@ -233,21 +228,35 @@ const ACEPrefix = "xn--"
 // EncodeLabel produces the A-label for a Unicode label, applying the
 // ACE prefix only when non-ASCII characters are present.
 func EncodeLabel(label string) (string, error) {
-	ascii := true
-	for _, r := range label {
-		if r >= 0x80 {
-			ascii = false
-			break
-		}
-	}
-	if ascii {
+	if IsASCII(label) {
 		return label, nil
 	}
-	enc, err := Encode(label)
-	if err != nil {
-		return "", err
+	var buf [64]byte
+	b, err := AppendLabel(buf[:0], label)
+	return string(b), err
+}
+
+// AppendLabel appends EncodeLabel(label) to dst; on error it returns
+// dst unchanged.
+func AppendLabel(dst []byte, label string) ([]byte, error) {
+	if IsASCII(label) {
+		return append(dst, label...), nil
 	}
-	return ACEPrefix + enc, nil
+	out, err := AppendEncode(append(dst, ACEPrefix...), label)
+	if err != nil {
+		out = dst
+	}
+	return out, err
+}
+
+// IsASCII reports whether s is pure ASCII.
+func IsASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeLabel converts an A-label back to its U-label. Labels without

@@ -90,7 +90,7 @@ func ParseLint(der []byte, mode ParseMode) (*Certificate, error) {
 	// Extension values are DER in both modes: a lenient parse keeps a
 	// BER-length extension raw and records a ParseWarning.
 	ext := asn1der.NewDecoder(asn1der.StrictDER).WithArena(arena)
-	if err := parseTBS(c, tbs, ext); err != nil {
+	if err := parseTBS(c, tbs, ext, mode); err != nil {
 		return nil, err
 	}
 	sigAlg := root.Children[1]
@@ -111,7 +111,7 @@ func ParseLint(der []byte, mode ParseMode) (*Certificate, error) {
 	return c, nil
 }
 
-func parseTBS(c *Certificate, tbs *asn1der.Value, ext *asn1der.Decoder) error {
+func parseTBS(c *Certificate, tbs *asn1der.Value, ext *asn1der.Decoder, mode ParseMode) error {
 	i := 0
 	next := func() *asn1der.Value {
 		if i >= len(tbs.Children) {
@@ -152,18 +152,20 @@ func parseTBS(c *Certificate, tbs *asn1der.Value, ext *asn1der.Decoder) error {
 	}
 	// inner signature AlgorithmIdentifier — ignored beyond structure.
 
-	// Issuer and subject (the next value and the one after validity)
-	// share one ATV and one RDN array, each DN capped at its own share.
+	// Subject and issuer (the value after validity and the next one)
+	// share one ATV and one RDN array, subject first, each DN capped at
+	// its own share, so the whole ATV array is AllAttributes.
 	var ia, ir, sa, sr int
 	if i+2 < len(tbs.Children) {
 		ia, ir = dnSize(tbs.Children[i])
 		sa, sr = dnSize(tbs.Children[i+2])
 	}
-	atvs, rdns := make([]ATV, ia+sa), make(DN, ir+sr)
+	c.atvs = make([]ATV, sa+ia)
+	rdns := make(DN, sr+ir)
 	if v = next(); v == nil {
 		return errors.New("x509cert: missing issuer")
 	}
-	if c.Issuer, err = parseDNInto(v, atvs[:0:ia], rdns[:0:ir]); err != nil {
+	if c.Issuer, err = parseDNInto(v, c.atvs[sa:sa], rdns[sr:sr]); err != nil {
 		return fmt.Errorf("x509cert: issuer: %v", err)
 	}
 
@@ -173,17 +175,21 @@ func parseTBS(c *Certificate, tbs *asn1der.Value, ext *asn1der.Decoder) error {
 	if len(v.Children) != 2 {
 		return errors.New("x509cert: malformed validity")
 	}
-	if c.NotBefore, err = v.Children[0].Time(); err != nil {
+	timeOf := (*asn1der.Value).Time
+	if mode == ParseStrict {
+		timeOf = (*asn1der.Value).DERTime
+	}
+	if c.NotBefore, err = timeOf(v.Children[0]); err != nil {
 		return fmt.Errorf("x509cert: notBefore: %v", err)
 	}
-	if c.NotAfter, err = v.Children[1].Time(); err != nil {
+	if c.NotAfter, err = timeOf(v.Children[1]); err != nil {
 		return fmt.Errorf("x509cert: notAfter: %v", err)
 	}
 
 	if v = next(); v == nil {
 		return errors.New("x509cert: missing subject")
 	}
-	if c.Subject, err = parseDNInto(v, atvs[ia:ia], rdns[ir:ir]); err != nil {
+	if c.Subject, err = parseDNInto(v, c.atvs[:0:sa], rdns[:0:sr]); err != nil {
 		return fmt.Errorf("x509cert: subject: %v", err)
 	}
 

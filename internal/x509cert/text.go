@@ -1,6 +1,7 @@
 package x509cert
 
 import (
+	"bytes"
 	"strings"
 
 	"repro/internal/asn1der"
@@ -16,12 +17,14 @@ import (
 // Every text is a substring of one of two strings: the subject side
 // (SAN and IAN names, then subject attributes) or the issuer attributes.
 // A caller that keeps a subject name, as the monitor models keep their
-// keys, pins the subject side only.
+// keys, pins the subject side only. DNS labels are substrings of their
+// name's text, or of its lowered copy when it has an uppercase letter.
 type text struct {
 	atvs     []ATV    // AllAttributes: subject, then issuer
 	attrs    []string // parallel to atvs
 	san      []string // parallel to SAN
 	dns      []string // the DNSNames of SAN, then of IAN
+	labels   []string // the labels of every dns entry, in order
 	emails   []string // SAN RFC822Names
 	uris     []string // SAN URIs
 	nSubject int32    // how many of attrs are the subject's
@@ -36,20 +39,29 @@ func (c *Certificate) texts() *text {
 	}
 	t.built = true
 	sub, iss := c.Subject.Attributes(), c.Issuer.Attributes()
-	t.atvs = append(sub[:len(sub):len(sub)], iss...)
-	nNames := len(c.SAN) + len(c.IAN)
+	t.atvs = c.atvs // when both DNs still flatten into the parse's array
+	startsAt := func(at int, part []ATV) bool { return len(part) == 0 || &c.atvs[at] == &part[0] }
+	if len(c.atvs) != len(sub)+len(iss) || !startsAt(0, sub) || !startsAt(len(sub), iss) {
+		t.atvs = append(sub[:len(sub):len(sub)], iss...) // built by hand, or a DN changed
+	}
+	nNames, nLabels := len(c.SAN)+len(c.IAN), 0
 	name := func(i int) GeneralName {
 		if i < len(c.SAN) {
 			return c.SAN[i]
 		}
 		return c.IAN[i-len(c.SAN)]
 	}
+	for i := range nNames {
+		if gn := name(i); gn.Kind == GNDNSName {
+			nLabels += bytes.Count(gn.Bytes, []byte{'.'}) + 1
+		}
+	}
 	attr := func(i int) (strenc.Method, []byte) {
 		v := t.atvs[i].Value
 		return v.StringType().StandardMethod(), v.Bytes
 	}
-	// One allocation holds every text, then the per-kind lists.
-	all := make([]string, nNames+len(t.atvs), 2*nNames+len(t.atvs))
+	// One allocation holds every text, the per-kind lists and the labels.
+	all := make([]string, nNames+len(t.atvs), 2*nNames+len(t.atvs)+nLabels)
 	decodeInto(all[:nNames+len(sub)], func(i int) (strenc.Method, []byte) {
 		if i < nNames {
 			return strenc.ASCII, name(i).Bytes
@@ -75,6 +87,15 @@ func (c *Certificate) texts() *text {
 	t.dns = all[at:len(all):len(all)]
 	t.emails = pick(GNRFC822Name, 0, len(c.SAN))
 	t.uris = pick(GNURI, 0, len(c.SAN))
+	at = len(all)
+	for _, d := range t.dns {
+		d = strings.TrimSuffix(strings.ToLower(d), ".")
+		for i := strings.IndexByte(d, '.'); i >= 0; i = strings.IndexByte(d, '.') {
+			all, d = append(all, d[:i]), d[i+1:]
+		}
+		all = append(all, d)
+	}
+	t.labels = all[at:]
 	return t
 }
 
@@ -124,6 +145,10 @@ func (c *Certificate) SANTexts() []string { return c.texts().san }
 // DNSNameTexts returns the text of each DNSName in SAN, then in IAN: the
 // names the IDN lints walk.
 func (c *Certificate) DNSNameTexts() []string { return c.texts().dns }
+
+// DNSLabels returns the labels of every DNSNameTexts entry, in order:
+// each name lowered, its trailing root dot dropped and split at dots.
+func (c *Certificate) DNSLabels() []string { return c.texts().labels }
 
 // DNSNames returns the text of each SAN DNSName.
 func (c *Certificate) DNSNames() []string {

@@ -1,6 +1,8 @@
 package x509cert
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asn1der"
@@ -49,12 +51,21 @@ func checkTextView(t *testing.T, c *Certificate) {
 		}
 		return out
 	}
+	all := append(c.Subject.Attributes()[:len(c.Subject.Attributes()):len(c.Subject.Attributes())], c.Issuer.Attributes()...)
+	if got := c.AllAttributes(); len(got) != len(all) || len(all) > 0 && !reflect.DeepEqual(got, all) {
+		t.Errorf("AllAttributes = %v, want %v", got, all)
+	}
 	parallel("AttributeTexts", c.AttributeTexts(), decodeAll(c.AllAttributes()))
 	parallel("SubjectTexts", c.SubjectTexts(), decodeAll(c.Subject.Attributes()))
 	parallel("IssuerTexts", c.IssuerTexts(), decodeAll(c.Issuer.Attributes()))
 	parallel("SANTexts", c.SANTexts(), names(c.SAN, -1))
 	parallel("DNSNameTexts", c.DNSNameTexts(), append(names(c.SAN, GNDNSName), names(c.IAN, GNDNSName)...))
 	parallel("DNSNames", c.DNSNames(), names(c.SAN, GNDNSName))
+	var labels []string
+	for _, d := range c.DNSNameTexts() {
+		labels = append(labels, strings.Split(strings.TrimSuffix(strings.ToLower(d), "."), ".")...)
+	}
+	parallel("DNSLabels", c.DNSLabels(), labels)
 	parallel("EmailAddresses", c.EmailAddresses(), names(c.SAN, GNRFC822Name))
 	parallel("URIs", c.URIs(), names(c.SAN, GNURI))
 	if got, want := c.CommonName(), c.Subject.CommonName(); got != want {
@@ -136,11 +147,39 @@ func TestTextViewMatchesDecode(t *testing.T) {
 	}
 	checkTextView(t, hand)
 	checkTextView(t, &Certificate{})
+
+	// Every label shape, in SAN and IAN: uppercase, a trailing dot, the
+	// empty name, the root, an empty label, a wildcard and replaced bytes.
+	labels := baseTemplate()
+	labels.SAN = []GeneralName{DNSName("WWW.Example.COM."), {Kind: GNDNSName}, DNSName("."), DNSName("a..b"),
+		DNSName("*.x"), {Kind: GNDNSName, Bytes: []byte("xn--\xFF.B\xC3\xBC.example")}}
+	labels.IAN = []GeneralName{DNSName("CA.Example."), {Kind: GNDNSName}, DNSName("a..b")}
+	c = buildLeaf(t, labels)
+	checkTextView(t, c)
+	if got := len(c.DNSLabels()); got != 19 {
+		t.Errorf("%d labels, want 19: %q", got, c.DNSLabels())
+	}
+
+	// A parsed certificate's AllAttributes is its parse's ATV array; a
+	// DN appended to after the parse makes it a copy again.
+	c = buildLeaf(t, tpl)
+	if all := c.AllAttributes(); &all[0] != &c.Subject[0][0] || &all[len(all)-1] != &c.Issuer[len(c.Issuer)-1][0] {
+		t.Error("parsed certificate: AllAttributes copied its DNs")
+	}
+	for _, grow := range []func(c *Certificate){
+		func(c *Certificate) { c.Subject = append(c.Subject, RDN{TextATV(OIDCommonName, "late.example")}) },
+		func(c *Certificate) { c.Issuer = append(c.Issuer, RDN{TextATV(OIDCommonName, "Late CA")}) },
+		func(c *Certificate) { c.Subject, c.Issuer = c.Issuer, c.Subject },
+	} {
+		c = buildLeaf(t, tpl)
+		grow(c)
+		checkTextView(t, c)
+	}
 }
 
 // TestAllocBudgetTextView pins the view's layout through its cost: the
-// combined attribute list, the subject-side string, the issuer string
-// and one slice of string headers, however many values there are, and
+// subject-side string, the issuer string and one slice of string
+// headers (DNS labels included), however many values there are, and
 // whatever they decode from: textViewTemplate's BMP, T.61, Latin-1,
 // UTF-16 and invalid bytes cost what UTF-8 does.
 func TestAllocBudgetTextView(t *testing.T) {
@@ -150,7 +189,7 @@ func TestAllocBudgetTextView(t *testing.T) {
 	tpl.IAN = []GeneralName{DNSName("ca.test.com")}
 	for name, c := range map[string]*Certificate{"utf8": buildLeaf(t, tpl), "all shapes": buildLeaf(t, textViewTemplate())} {
 		t.Run(name, func(t *testing.T) {
-			allocGuard(t, 4, func() {
+			allocGuard(t, 3, func() {
 				c.text = text{}
 				_ = c.AttributeTexts()
 			})

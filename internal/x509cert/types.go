@@ -303,22 +303,8 @@ type Certificate struct {
 	// use and shared read-only after. Not goroutine-safe to fill
 	// concurrently: the pipeline lints each certificate from exactly
 	// one worker, which is the ownership contract these rely on.
-	text      text
-	dnsLabels [][]string
-}
-
-// DNSNameLabels returns each DNSNameTexts entry lowered and split into
-// DNS labels (trailing root dot dropped), parallel to DNSNameTexts. The
-// result is memoized and must be treated as read-only.
-func (c *Certificate) DNSNameLabels() [][]string {
-	if c.dnsLabels == nil {
-		texts := c.DNSNameTexts()
-		c.dnsLabels = make([][]string, len(texts))
-		for i, t := range texts {
-			c.dnsLabels[i] = strings.Split(strings.TrimSuffix(strings.ToLower(t), "."), ".")
-		}
-	}
-	return c.dnsLabels
+	text text
+	atvs []ATV // the parse's ATV array: subject's, then issuer's
 }
 
 // Extension returns the raw extension with the given OID, if present.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/x509"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,6 +314,66 @@ func TestValidityEncodingBoundary(t *testing.T) {
 	if c.NotAfter.Year() != 2050 {
 		t.Errorf("NotAfter %v", c.NotAfter)
 	}
+}
+
+// TestStrictParseRejectsNonDERValidity: RFC 5280 §4.1.2.5 allows only
+// YYMMDDHHMMSSZ and YYYYMMDDHHMMSSZ. A strict parse rejects any other
+// notBefore; a lenient one reads it as Value.Time does.
+func TestStrictParseRejectsNonDERValidity(t *testing.T) {
+	der := allocTestDER(t)
+	for _, tc := range []struct {
+		tag     int
+		content string
+		lenient time.Time
+	}{
+		{asn1der.TagUTCTime, "-10101000000Z", time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{asn1der.TagUTCTime, "+50101000000Z", time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{asn1der.TagUTCTime, "240101000000.5Z", time.Date(2024, 1, 1, 0, 0, 0, 5e8, time.UTC)},
+		{asn1der.TagUTCTime, "2401010000Z", time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{asn1der.TagGeneralizedTime, "20240101000000.123Z", time.Date(2024, 1, 1, 0, 0, 0, 123e6, time.UTC)},
+	} {
+		bad := withNotBefore(t, der, tc.tag, tc.content)
+		if _, err := ParseWithMode(bad, ParseStrict); err == nil || !strings.Contains(err.Error(), "notBefore") {
+			t.Errorf("%q: strict parse error = %v, want a notBefore error", tc.content, err)
+		}
+		c, err := ParseWithMode(bad, ParseLenient)
+		if err != nil || !c.NotBefore.Equal(tc.lenient) {
+			t.Errorf("%q: lenient NotBefore = %v, %v; want %v", tc.content, c.NotBefore, err, tc.lenient)
+		}
+	}
+}
+
+// withNotBefore re-encodes der with its notBefore replaced by a value
+// of the given tag and content.
+func withNotBefore(t *testing.T, der []byte, tag int, content string) []byte {
+	t.Helper()
+	root, err := asn1der.Parse(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notBefore := root.Children[0].Children[4].Children[0]
+	var emit func(b *asn1der.Builder, v *asn1der.Value)
+	emit = func(b *asn1der.Builder, v *asn1der.Value) {
+		switch {
+		case v == notBefore:
+			b.AddTLV(asn1der.Tag{Class: asn1der.ClassUniversal, Number: tag}, []byte(content))
+		case v.Tag.Constructed:
+			b.AddConstructed(v.Tag, func(b *asn1der.Builder) {
+				for _, child := range v.Children {
+					emit(b, child)
+				}
+			})
+		default:
+			b.AddRaw(v.Raw)
+		}
+	}
+	var b asn1der.Builder
+	emit(&b, root)
+	out, err := b.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestLenientParseKeepsBERExtensionRaw pins what a parse does with a SAN
