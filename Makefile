@@ -25,7 +25,8 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Seconds of coverage-guided fuzzing per target in `make check`: the
-# Merkle proof verifiers, the asn1der Time and Int fast paths against
+# Merkle proof verifiers, the direct get-entries decoder against the
+# encoding/json fallback, the asn1der Time and Int fast paths against
 # their time.Parse and big.Int oracles, and the allocation-free Punycode
 # encoder against the []rune one it replaced — enough to shake out
 # regressions without stalling the suite. Raise for a dedicated fuzz
@@ -33,6 +34,7 @@ race:
 FUZZ_TIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProofVerification' -fuzztime $(FUZZ_TIME) ./internal/ctlog
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntries$$' -fuzztime $(FUZZ_TIME) ./internal/ctlog
 	$(GO) test -run '^$$' -fuzz '^FuzzValueTime$$' -fuzztime $(FUZZ_TIME) ./internal/asn1der
 	$(GO) test -run '^$$' -fuzz '^FuzzValueInt$$' -fuzztime $(FUZZ_TIME) ./internal/asn1der
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendEncode$$' -fuzztime $(FUZZ_TIME) ./internal/punycode

@@ -1,9 +1,11 @@
 package ctlog
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +25,9 @@ import (
 // costs from them; the spread between PerEntry and Batched is the
 // price of the per-entry ECDSA operation that batch sealing amortizes
 // away.
+//
+// BenchmarkGetEntries (`-bench GetEntries`) times the read side: a
+// Client fetching 64-entry batches from a Server over loopback.
 //
 // BenchmarkTreeProofs (`-bench TreeProofs`) is the proof-path scaling
 // check: Root, InclusionProof and ConsistencyProof at historical sizes
@@ -126,6 +131,35 @@ func BenchmarkWriteBatched(b *testing.B) {
 		b.Fatal(err)
 	}
 	reportCertsPerSec(b)
+}
+
+// BenchmarkGetEntries is the crawl's wire: one op is one 64-entry
+// get-entries round trip of corpus DERs between a Client and a Server
+// over loopback, both ends' encoding, decoding and allocations
+// included.
+func BenchmarkGetEntries(b *testing.B) {
+	const batch = 64
+	ders := benchCorpus(b)
+	log := benchLog(b)
+	for _, der := range ders {
+		if _, err := log.AddParsed(der, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer((&Server{Log: log}).Handler())
+	defer srv.Close()
+	cl := &Client{Base: srv.URL}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := i * batch % len(ders)
+		entries, err := cl.GetEntries(ctx, start, start+batch-1)
+		if err != nil || len(entries) != batch {
+			b.Fatalf("got %d entries, %v", len(entries), err)
+		}
+	}
+	b.ReportMetric(float64(b.N*batch)*1e9/float64(b.Elapsed().Nanoseconds()), "certs/s")
 }
 
 func BenchmarkTreeProofs(b *testing.B) {

@@ -11,6 +11,7 @@ package ctlog
 // hammering the log.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
@@ -22,6 +23,7 @@ import (
 	"mime"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,11 +244,25 @@ func (c *Client) GetSTH(ctx context.Context) (size int, root Hash, err error) {
 // can come back; callers must advance by what they received.
 func (c *Client) GetEntries(ctx context.Context, start, end int) ([]Entry, error) {
 	path := fmt.Sprintf("/ct/v1/get-entries?start=%d&end=%d", start, end)
+	var out []Entry
+	var direct bool
 	var resp entriesResponse
-	if err := c.getJSON(ctx, path, &resp); err != nil {
+	err := c.get(ctx, path, func(body []byte) error {
+		if out, direct = decodeEntries(body); direct {
+			return nil
+		}
+		return json.Unmarshal(body, &resp)
+	})
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Entry, 0, len(resp.Entries))
+	if direct {
+		return out, nil
+	}
+	// Any other layout: whitespace, another key order, unknown keys
+	// such as RFC 6962's extra_data, escapes. The bodies accepted, the
+	// entries returned and every error text are those of encoding/json.
+	out = make([]Entry, 0, len(resp.Entries))
 	for _, e := range resp.Entries {
 		der, err := base64.StdEncoding.DecodeString(e.LeafInput)
 		if err != nil {
@@ -255,6 +271,83 @@ func (c *Client) GetEntries(ctx context.Context, start, end int) ([]Entry, error
 		out = append(out, Entry{Index: e.Index, DER: der, Precert: e.Precert})
 	}
 	return out, nil
+}
+
+// decodeEntries reads a get-entries body laid out exactly as
+// appendEntries writes it: no whitespace, the four keys in order,
+// numbers of 1 to 18 digits with no sign or leading zero (all fit an
+// int64), unescaped base64 decoded into one slice per entry, so that a
+// retained entry does not keep its batch alive. ok is false at the
+// first byte outside that layout, and the caller falls back to
+// encoding/json, which returns the same entries wherever ok is true.
+func decodeEntries(body []byte) (out []Entry, ok bool) {
+	if string(body) == entriesNull {
+		return []Entry{}, true
+	}
+	rest, ok := body, true
+	lit := func(s string) {
+		if ok = ok && bytes.HasPrefix(rest, []byte(s)); ok {
+			rest = rest[len(s):]
+		}
+	}
+	number := func() (n int64) {
+		i := 0
+		for ; i < len(rest) && i <= 18 && rest[i]-'0' <= 9; i++ {
+			n = n*10 + int64(rest[i]-'0')
+		}
+		ok = ok && i > 0 && i <= 18 && (i == 1 || rest[0] != '0')
+		rest = rest[i:]
+		return n
+	}
+	lit(entriesOpen)
+	// Base64 holds no brace, so each entry of a body that decodes
+	// opens one; no entry is shorter than minEntry, which bounds the
+	// guess for bodies that do not.
+	const minEntry = entryIndex + "0" + entryTime + "0" + entryLeaf + entryPrecert + "true}"
+	out = make([]Entry, 0, min(bytes.Count(rest, []byte("{")), len(rest)/len(minEntry)))
+	for ok && string(rest) != entriesClose {
+		if len(out) > 0 {
+			lit(",")
+		}
+		lit(entryIndex)
+		index := number()
+		lit(entryTime)
+		number()
+		lit(entryLeaf)
+		end := bytes.IndexByte(rest, '"')
+		if !ok || end < 0 || int64(int(index)) != index {
+			return nil, false
+		}
+		var der []byte
+		der, ok = decodeLeaf(rest[:end])
+		rest = rest[end:]
+		lit(entryPrecert)
+		precert := bytes.HasPrefix(rest, []byte("t"))
+		lit(strconv.FormatBool(precert))
+		lit("}")
+		out = append(out, Entry{Index: int(index), DER: der, Precert: precert})
+	}
+	if !ok {
+		return nil, false
+	}
+	return out, true
+}
+
+// decodeLeaf decodes one leaf_input into a slice of exactly its
+// decoded length. base64's Decode skips raw '\r' and '\n', which JSON
+// forbids in a string; skipping any leaves the output three or more
+// bytes short, so a full-length result proves there were none.
+func decodeLeaf(s []byte) ([]byte, bool) {
+	if len(s)%4 != 0 {
+		return nil, false
+	}
+	n := len(s) / 4 * 3
+	for i := len(s) - 1; i >= len(s)-2 && i >= 0 && s[i] == '='; i-- {
+		n--
+	}
+	der := make([]byte, n)
+	m, err := base64.StdEncoding.Decode(der, s)
+	return der, err == nil && m == n
 }
 
 // GetProofByHash fetches the inclusion proof for the entry whose RFC
@@ -373,10 +466,17 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// getJSON performs one logical request with the retry policy,
-// recording per-attempt metrics and (when a tracer is attached) a
-// request span with attempt/backoff children.
-func (c *Client) getJSON(ctx context.Context, path string, v any) (err error) {
+// getJSON performs one logical request and decodes its body into v
+// with encoding/json.
+func (c *Client) getJSON(ctx context.Context, path string, v any) error {
+	return c.get(ctx, path, func(body []byte) error { return json.Unmarshal(body, v) })
+}
+
+// get performs one logical request with the retry policy, recording
+// per-attempt metrics and (when a tracer is attached) a request span
+// with attempt/backoff children. decode runs on the body of the one
+// attempt that reads it whole; its error is non-retryable.
+func (c *Client) get(ctx context.Context, path string, decode func([]byte) error) (err error) {
 	met := c.metrics()
 	endpoint := endpointOf(path)
 	ctx, span := c.Tracer.Start(ctx, "ctlog."+endpoint)
@@ -402,7 +502,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) (err error) {
 			if met != nil {
 				start = time.Now()
 			}
-			err = c.doOnce(ctx, path, v)
+			err = c.doOnce(ctx, path, decode)
 			c.Breaker.Record(err)
 			if met != nil {
 				met.latency(endpoint).Observe(time.Since(start).Seconds())
@@ -434,7 +534,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) (err error) {
 }
 
 // doOnce performs a single HTTP attempt and classifies any failure.
-func (c *Client) doOnce(ctx context.Context, path string, v any) error {
+func (c *Client) doOnce(ctx context.Context, path string, decode func([]byte) error) error {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -471,7 +571,7 @@ func (c *Client) doOnce(ctx context.Context, path string, v any) error {
 		}
 	}
 	limit := c.maxBody()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	body, err := readBody(resp.Body, resp.ContentLength, limit)
 	if err != nil {
 		// A short read is indistinguishable from a torn connection.
 		return &RequestError{Path: path, Err: fmt.Errorf("reading body: %w", err), Retryable: ctx.Err() == nil}
@@ -479,10 +579,32 @@ func (c *Client) doOnce(ctx context.Context, path string, v any) error {
 	if int64(len(body)) > limit {
 		return &RequestError{Path: path, Err: fmt.Errorf("response body exceeds %d byte limit", limit)}
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := decode(body); err != nil {
 		// Malformed JSON is deterministic for a given response; the
 		// monitor's bisection layer decides whether to refetch.
 		return &RequestError{Path: path, Err: fmt.Errorf("decoding body: %w", err)}
 	}
 	return nil
+}
+
+// readBody reads r up to limit+1 bytes, one past the limit so that an
+// oversized body shows, into a buffer pre-sized from the declared
+// Content-Length with a byte to spare for the EOF: at least
+// io.ReadAll's 512 bytes, at most limit+1 on the word of a header.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	b := make([]byte, 0, min(max(declared, 511), limit)+1)
+	r = io.LimitReader(r, limit+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }

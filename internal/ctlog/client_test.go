@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,19 +148,87 @@ func TestClientBoundsResponseBody(t *testing.T) {
 	}
 }
 
-func TestClientRejectsBadLeafBase64(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"entries":[{"index":3,"leaf_input":"!!not-base64!!"}]}`)
-	}))
-	defer srv.Close()
-	cl := fastClient(srv.URL)
-	_, err := cl.GetEntries(context.Background(), 3, 3)
-	if err == nil || IsRetryable(err) {
-		t.Fatalf("bad base64 must be a non-retryable error, got %v", err)
+// TestClientBodyLimitUnderContentLength: the body buffer is pre-sized
+// from Content-Length, and neither a declared length past the limit
+// nor one longer than the body changes how the read ends: an oversized
+// body is not retried, a short one is.
+func TestClientBodyLimitUnderContentLength(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		declared  int64
+		sent      int
+		want      string
+		retryable bool
+		calls     int64
+	}{
+		{"declared and sent past the limit", math.MaxInt64, 4096, "exceeds 512 byte limit", false, 1},
+		{"declared longer than sent", 400, 100, "reading body", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Content-Length", strconv.FormatInt(tc.declared, 10))
+				w.Write([]byte(`{"entries":[{"index":0,"leaf_input":"` + strings.Repeat("A", tc.sent)))
+			}))
+			defer srv.Close()
+			cl := fastClient(srv.URL)
+			cl.MaxBodyBytes = 512
+			cl.MaxRetries = 1
+			_, err := cl.GetEntries(context.Background(), 0, 0)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || IsRetryable(err) != tc.retryable {
+				t.Fatalf("got %v, want a retryable=%v error containing %q", err, tc.retryable, tc.want)
+			}
+			if calls.Load() != tc.calls {
+				t.Fatalf("%d calls, want %d", calls.Load(), tc.calls)
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), "entry 3") {
-		t.Fatalf("error should name the poisoned entry: %v", err)
+}
+
+// TestReadBodyPresize: the buffer is never sized past limit+1 on a
+// header's word, and an honest body fits it with no regrowth.
+func TestReadBodyPresize(t *testing.T) {
+	for _, tc := range []struct {
+		declared, limit int64
+		body, wantCap   int
+	}{
+		{math.MaxInt64, 512, 10, 513},
+		{1 << 40, 512, 10, 513},
+		{100, 512, 100, 512},
+		{1000, 1 << 20, 1000, 1001},
+		{-1, 1 << 20, 10, 512},
+	} {
+		b, err := readBody(strings.NewReader(strings.Repeat("x", tc.body)), tc.declared, tc.limit)
+		if err != nil || len(b) != tc.body || cap(b) != tc.wantCap {
+			t.Errorf("readBody(%d bytes, declared %d, limit %d) = %d bytes, cap %d, %v; want cap %d",
+				tc.body, tc.declared, tc.limit, len(b), cap(b), err, tc.wantCap)
+		}
+	}
+}
+
+func TestClientRejectsBadLeafBase64(t *testing.T) {
+	// The second body is laid out as the Server writes it, so the
+	// direct decoder reads up to the bad base64 before declining.
+	for _, body := range []string{
+		`{"entries":[{"index":3,"leaf_input":"!!not-base64!!"}]}`,
+		`{"entries":[{"index":2,"timestamp":1,"leaf_input":"QQ==","precert":false},` +
+			`{"index":3,"timestamp":1,"leaf_input":"!!not-base64!!!!","precert":false}]}` + "\n",
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, body)
+		}))
+		cl := fastClient(srv.URL)
+		_, err := cl.GetEntries(context.Background(), 3, 3)
+		srv.Close()
+		if err == nil || IsRetryable(err) {
+			t.Fatalf("bad base64 must be a non-retryable error, got %v", err)
+		}
+		if !strings.Contains(err.Error(), "entry 3") {
+			t.Fatalf("error should name the poisoned entry: %v", err)
+		}
 	}
 }
 

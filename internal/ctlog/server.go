@@ -249,16 +249,64 @@ func (s *Server) getEntries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := entriesResponse{}
-	for _, e := range entries {
-		resp.Entries = append(resp.Entries, entryJSON{
-			Index:     e.Index,
-			Timestamp: e.Timestamp.UnixMilli(),
-			LeafInput: base64.StdEncoding.EncodeToString(e.DER),
-			Precert:   e.Precert,
-		})
+	body := appendEntries(make([]byte, 0, entriesBodyLen(entries)), entries)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// The get-entries body, written without encoding/json: byte for byte
+// what json.NewEncoder(w).Encode(entriesResponse{…}) writes, trailing
+// newline and the empty list's null included. The Client's direct
+// decoder reads exactly this layout.
+const (
+	entriesNull  = `{"entries":null}` + "\n"
+	entriesOpen  = `{"entries":[`
+	entriesClose = "]}\n"
+	entryIndex   = `{"index":`
+	entryTime    = `,"timestamp":`
+	entryLeaf    = `,"leaf_input":"`
+	entryPrecert = `","precert":`
+)
+
+// entriesBodyLen is the exact length appendEntries writes.
+func entriesBodyLen(entries []Entry) int {
+	if len(entries) == 0 {
+		return len(entriesNull)
 	}
-	writeJSON(w, resp)
+	var num [20]byte
+	n := len(entriesOpen) + len(entriesClose) + len(entries) - 1 // commas
+	for _, e := range entries {
+		n += len(entryIndex) + len(strconv.AppendInt(num[:0], int64(e.Index), 10)) +
+			len(entryTime) + len(strconv.AppendInt(num[:0], e.Timestamp.UnixMilli(), 10)) +
+			len(entryLeaf) + base64.StdEncoding.EncodedLen(len(e.DER)) +
+			len(entryPrecert) + len(strconv.FormatBool(e.Precert)) + len("}")
+	}
+	return n
+}
+
+// appendEntries appends the get-entries body for entries to dst.
+func appendEntries(dst []byte, entries []Entry) []byte {
+	if len(entries) == 0 {
+		return append(dst, entriesNull...)
+	}
+	dst = append(dst, entriesOpen...)
+	for i, e := range entries {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, entryIndex...)
+		dst = strconv.AppendInt(dst, int64(e.Index), 10)
+		dst = append(dst, entryTime...)
+		dst = strconv.AppendInt(dst, e.Timestamp.UnixMilli(), 10)
+		dst = append(dst, entryLeaf...)
+		dst = base64.StdEncoding.AppendEncode(dst, e.DER)
+		dst = append(dst, entryPrecert...)
+		dst = strconv.AppendBool(dst, e.Precert)
+		dst = append(dst, '}')
+	}
+	return append(dst, entriesClose...)
 }
 
 type proofResponse struct {

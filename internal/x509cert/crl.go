@@ -80,7 +80,9 @@ func BuildCRL(t *CRLTemplate, issuerKey *KeyPair) ([]byte, error) {
 	return b.Bytes()
 }
 
-// ParseCRL decodes a DER CertificateList.
+// ParseCRL decodes a DER CertificateList. thisUpdate, nextUpdate and
+// each revocationDate must take DER's two time layouts (RFC 5280
+// §5.1.2.4–5.1.2.6), as a strict certificate parse's validity does.
 func ParseCRL(der []byte) (*CRL, error) {
 	root, err := asn1der.Parse(der)
 	if err != nil {
@@ -121,14 +123,14 @@ func ParseCRL(der []byte) (*CRL, error) {
 	if v = next(); v == nil {
 		return nil, errors.New("x509cert: missing thisUpdate")
 	}
-	if crl.ThisUpdate, err = v.Time(); err != nil {
+	if crl.ThisUpdate, err = v.DERTime(); err != nil {
 		return nil, err
 	}
 	for v = next(); v != nil; v = next() {
 		switch {
 		case v.Tag.Class == asn1der.ClassUniversal &&
 			(v.Tag.Number == asn1der.TagUTCTime || v.Tag.Number == asn1der.TagGeneralizedTime):
-			if crl.NextUpdate, err = v.Time(); err != nil {
+			if crl.NextUpdate, err = v.DERTime(); err != nil {
 				return nil, err
 			}
 		case v.Tag.Class == asn1der.ClassUniversal && v.Tag.Number == asn1der.TagSequence:
@@ -140,7 +142,7 @@ func ParseCRL(der []byte) (*CRL, error) {
 				if err != nil {
 					return nil, err
 				}
-				when, err := entry.Children[1].Time()
+				when, err := entry.Children[1].DERTime()
 				if err != nil {
 					return nil, err
 				}

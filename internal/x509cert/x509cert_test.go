@@ -321,6 +321,7 @@ func TestValidityEncodingBoundary(t *testing.T) {
 // notBefore; a lenient one reads it as Value.Time does.
 func TestStrictParseRejectsNonDERValidity(t *testing.T) {
 	der := allocTestDER(t)
+	notBefore := func(root *asn1der.Value) *asn1der.Value { return root.Children[0].Children[4].Children[0] }
 	for _, tc := range []struct {
 		tag     int
 		content string
@@ -332,7 +333,7 @@ func TestStrictParseRejectsNonDERValidity(t *testing.T) {
 		{asn1der.TagUTCTime, "2401010000Z", time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)},
 		{asn1der.TagGeneralizedTime, "20240101000000.123Z", time.Date(2024, 1, 1, 0, 0, 0, 123e6, time.UTC)},
 	} {
-		bad := withNotBefore(t, der, tc.tag, tc.content)
+		bad := withValue(t, der, notBefore, tc.tag, tc.content)
 		if _, err := ParseWithMode(bad, ParseStrict); err == nil || !strings.Contains(err.Error(), "notBefore") {
 			t.Errorf("%q: strict parse error = %v, want a notBefore error", tc.content, err)
 		}
@@ -343,19 +344,19 @@ func TestStrictParseRejectsNonDERValidity(t *testing.T) {
 	}
 }
 
-// withNotBefore re-encodes der with its notBefore replaced by a value
-// of the given tag and content.
-func withNotBefore(t *testing.T, der []byte, tag int, content string) []byte {
+// withValue re-encodes der with the value pick chooses replaced by a
+// primitive of the given tag and content.
+func withValue(t *testing.T, der []byte, pick func(root *asn1der.Value) *asn1der.Value, tag int, content string) []byte {
 	t.Helper()
 	root, err := asn1der.Parse(der)
 	if err != nil {
 		t.Fatal(err)
 	}
-	notBefore := root.Children[0].Children[4].Children[0]
+	target := pick(root)
 	var emit func(b *asn1der.Builder, v *asn1der.Value)
 	emit = func(b *asn1der.Builder, v *asn1der.Value) {
 		switch {
-		case v == notBefore:
+		case v == target:
 			b.AddTLV(asn1der.Tag{Class: asn1der.ClassUniversal, Number: tag}, []byte(content))
 		case v.Tag.Constructed:
 			b.AddConstructed(v.Tag, func(b *asn1der.Builder) {
